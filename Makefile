@@ -9,7 +9,7 @@ PR ?= 10
 # Benchmark selector for the trajectory artifacts and the CI gates:
 # the kernel Reference/Vectorized pairs, the fast-forward Off/On pairs,
 # the pulling-model Reference/Sparse pairs, the bit-sliced
-# Reference/Sliced pairs, and the live-runtime Reference/Optimized
+# Reference/Sliced pairs, and the live-runtime Replay/Optimized
 # round-engine pairs.
 BENCH_PATTERN = ^Benchmark(Kernel|FF|Pull|Bitslice|Live)_
 BENCH_PKGS = ./internal/sim ./internal/pull ./internal/live
@@ -62,10 +62,13 @@ bench-json:
 #     when the bit-sliced kernel's advantage over the reference
 #     loop drops below 2x on any bitslice pair (the committed
 #     trajectory shows >= 4x on the randomised cells and far more on
-#     the deterministic ones), or when the batched live round engine's
-#     advantage over the four-hop reference engine drops below 3x on
-#     any live pair (the committed trajectory shows >= 4.3x at n=32
-#     and >= 6x at n=128).
+#     the deterministic ones), or when the concurrent live round
+#     engine's speed relative to the sequential replay oracle drops
+#     below 0.99x on any live pair (27 same-machine runs give per-cell
+#     medians of 1.32x at n=32 and 4.1x at n=128, so the gate fires
+#     once the engine slows by 1.34x relative to replay — the same
+#     tolerance as the 3x gate against the four-hop engine it
+#     replaced).
 #     Ratios are immune to absolute machine speed but not to scheduler
 #     noise; 10 iterations per side keeps a single descheduled trial
 #     from flipping the gates on shared CI runners. The live pairs run
@@ -79,7 +82,7 @@ bench-json:
 bench-smoke:
 	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=10x $(BENCH_PKGS) > "$$tmp" && \
-	$(GO) run ./cmd/benchjson -min-speedup 1.5 -min-ff-speedup 5 -min-pull-speedup 1.5 -min-bitslice-speedup 2 -min-live-speedup 3 < "$$tmp" && \
+	$(GO) run ./cmd/benchjson -min-speedup 1.5 -min-ff-speedup 5 -min-pull-speedup 1.5 -min-bitslice-speedup 2 -min-live-speedup 0.99 < "$$tmp" && \
 	$(GO) run ./cmd/benchjson -baseline $(BASELINE) -min-speedup $(MIN_SPEEDUP) < "$$tmp"
 
 # Standalone baseline diff: reruns the benchmarks and compares against
@@ -176,16 +179,16 @@ kernel-race-smoke:
 	$(GO) test -race -short -run '^Test(Kernel|Bitslice)' ./internal/sim
 	$(GO) test -race -run 'SlicedMatches' ./internal/counter
 
-# Live-runtime gate: the package suite under the race detector, then a
-# short seeded n=32 soak (crash/restart plus a partition per burst) of
-# the race-instrumented liverun binary, twice from the same seed. The
-# PASS verdict (exit code) asserts every burst re-stabilised within the
-# stack's declared bound; the byte-diffs assert the chaos timeline and
-# the per-fault recovery-latency records replay identically across real
-# goroutine concurrency; the ingest closes the loop into resultdb.
-# A third soak drives the retained four-hop reference engine on the
-# same seed and byte-diffs its timeline and NDJSON against the batched
-# engine's: the two data paths must be observationally identical.
+# Live-runtime gate: the package suite under the race detector — whose
+# TestEngineDifferential pins the concurrent engine byte-for-byte to
+# the sequential replay oracle, this soak's exact configuration
+# included — then a short seeded n=32 soak (crash/restart plus a
+# partition per burst) of the race-instrumented liverun binary, twice
+# from the same seed. The PASS verdict (exit code) asserts every burst
+# re-stabilised within the stack's declared bound; the byte-diffs
+# assert the chaos timeline and the per-fault recovery-latency records
+# replay identically across real goroutine concurrency; the ingest
+# closes the loop into resultdb.
 live-smoke:
 	$(GO) test -race ./internal/live
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -197,12 +200,8 @@ live-smoke:
 	$$tmp/liverun $$args -ndjson $$tmp/soak-a.ndjson && \
 	$$tmp/liverun $$args -ndjson $$tmp/soak-b.ndjson && \
 	cmp $$tmp/soak-a.ndjson $$tmp/soak-b.ndjson && \
-	$$tmp/liverun $$args -engine reference -timeline > $$tmp/timeline-ref.txt && \
-	$$tmp/liverun $$args -engine reference -ndjson $$tmp/soak-ref.ndjson && \
-	cmp $$tmp/timeline-a.txt $$tmp/timeline-ref.txt && \
-	cmp $$tmp/soak-a.ndjson $$tmp/soak-ref.ndjson && \
 	$(GO) run ./cmd/resultdb ingest -db $$tmp/store $$tmp/soak-a.ndjson && \
-	echo "live-smoke: soak passed within the declared bound; timeline and recovery records replay byte-identically on both engines"
+	echo "live-smoke: soak passed within the declared bound; timeline and recovery records replay byte-identically"
 
 # Static analysis at a pinned staticcheck release. Soft-skips when the
 # binary is absent (this repo never installs tools implicitly); CI

@@ -22,12 +22,18 @@
 //     (kind "bitslice": the scalar reference loop against the
 //     bit-sliced vote kernel)
 //
-//   - BenchmarkLive_Reference_<case> vs BenchmarkLive_Optimized_<case>
-//     (kind "live": the four-hop reference round engine against the
-//     batched arena engine in internal/live)
+//   - BenchmarkLive_Replay_<case> vs BenchmarkLive_Optimized_<case>
+//     (kind "live": the sequential replay oracle against the concurrent
+//     batched arena engine in internal/live — a same-machine yardstick
+//     rather than a retired implementation, so the gate may sit near
+//     or below 1x)
 //
 //     go test -run '^$' -bench '^Benchmark(Kernel|FF|Pull|Bitslice|Live)_' -benchmem \
-//     ./internal/sim ./internal/pull ./internal/live | benchjson -pr 10 -out BENCH_10.json
+//     ./internal/sim ./internal/pull ./internal/live | benchjson -pr 12 -out BENCH_12.json
+//
+// The artifact header records every `pkg:` line of the capture in
+// order of appearance (space-joined) and the GOMAXPROCS the benchmarks
+// ran at, read from the -N benchmark-name suffix (absent means 1).
 //
 // With -min-speedup S (kernel pairs), -min-ff-speedup S (fastforward
 // pairs), -min-pull-speedup S (pull pairs), -min-bitslice-speedup S
@@ -53,6 +59,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -99,6 +106,7 @@ type Report struct {
 	Goarch        string         `json:"goarch,omitempty"`
 	CPU           string         `json:"cpu,omitempty"`
 	Pkg           string         `json:"pkg,omitempty"`
+	Gomaxprocs    int            `json:"gomaxprocs,omitempty"`
 	Benchmarks    []Benchmark    `json:"benchmarks"`
 	Comparisons   []Comparison   `json:"comparisons"`
 	BaselinePR    int            `json:"baseline_pr,omitempty"`
@@ -114,7 +122,7 @@ const (
 	pullSpPrefix  = "BenchmarkPull_Sparse_"
 	bsRefPrefix   = "BenchmarkBitslice_Reference_"
 	bsSlPrefix    = "BenchmarkBitslice_Sliced_"
-	liveRefPrefix = "BenchmarkLive_Reference_"
+	liveRepPrefix = "BenchmarkLive_Replay_"
 	liveOptPrefix = "BenchmarkLive_Optimized_"
 
 	kindKernel      = "kernel"
@@ -131,7 +139,7 @@ func main() {
 	minFFSpeedup := flag.Float64("min-ff-speedup", 0, "fail unless every fast-forward Off/On pair speeds up at least this much")
 	minPullSpeedup := flag.Float64("min-pull-speedup", 0, "fail unless every pull Reference/Sparse pair speeds up at least this much")
 	minBitsliceSpeedup := flag.Float64("min-bitslice-speedup", 0, "fail unless every bitslice Reference/Sliced pair speeds up at least this much")
-	minLiveSpeedup := flag.Float64("min-live-speedup", 0, "fail unless every live Reference/Optimized pair speeds up at least this much")
+	minLiveSpeedup := flag.Float64("min-live-speedup", 0, "fail unless every live Replay/Optimized pair speeds up at least this much")
 	baseline := flag.String("baseline", "", "previous BENCH_<k>.json artifact to diff this run against benchmark by benchmark")
 	flag.Parse()
 
@@ -254,6 +262,7 @@ func diffBaseline(report *Report, path string) error {
 
 func parse(sc *bufio.Scanner) (*Report, error) {
 	report := &Report{Schema: "synchcount-bench-trajectory/v1"}
+	var pkgs []string
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -264,11 +273,17 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 		case strings.HasPrefix(line, "cpu:"):
 			report.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "pkg:"):
-			report.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg := strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			if !slices.Contains(pkgs, pkg) {
+				pkgs = append(pkgs, pkg)
+			}
 		case strings.HasPrefix(line, "Benchmark"):
-			b, err := parseBenchLine(line)
+			b, procs, err := parseBenchLine(line)
 			if err != nil {
 				return nil, err
+			}
+			if len(report.Benchmarks) == 0 {
+				report.Gomaxprocs = procs
 			}
 			report.Benchmarks = append(report.Benchmarks, b)
 		}
@@ -276,38 +291,40 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	report.Pkg = strings.Join(pkgs, " ")
 	report.Comparisons = pair(report.Benchmarks)
 	return report, nil
 }
 
-// parseBenchLine parses one result row:
+// parseBenchLine parses one result row and the GOMAXPROCS it ran at:
 //
 //	BenchmarkX-8   27   43831877 ns/op   90228 ns/round   2297 B/op   11 allocs/op
-func parseBenchLine(line string) (Benchmark, error) {
+//
+// go test appends the -<GOMAXPROCS> suffix only when it is not 1.
+func parseBenchLine(line string) (Benchmark, int, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return Benchmark{}, fmt.Errorf("malformed benchmark line: %q", line)
+		return Benchmark{}, 0, fmt.Errorf("malformed benchmark line: %q", line)
 	}
-	name := fields[0]
-	// Strip the -<GOMAXPROCS> suffix.
+	name, procs := fields[0], 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if p, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], p
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Benchmark{}, fmt.Errorf("bad iteration count in %q: %w", line, err)
+		return Benchmark{}, 0, fmt.Errorf("bad iteration count in %q: %w", line, err)
 	}
 	b := Benchmark{Name: name, Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Benchmark{}, fmt.Errorf("bad metric value in %q: %w", line, err)
+			return Benchmark{}, 0, fmt.Errorf("bad metric value in %q: %w", line, err)
 		}
 		b.Metrics[fields[i+1]] = val
 	}
-	return b, nil
+	return b, procs, nil
 }
 
 // pairings lists the slow/fast prefix pairs and their comparison kind.
@@ -320,7 +337,7 @@ var pairings = []struct {
 	{kindFastForward, ffOffPrefix, ffOnPrefix},
 	{kindPull, pullRefPrefix, pullSpPrefix},
 	{kindBitslice, bsRefPrefix, bsSlPrefix},
-	{kindLive, liveRefPrefix, liveOptPrefix},
+	{kindLive, liveRepPrefix, liveOptPrefix},
 }
 
 // pair matches the slow-side row of each pairing with its fast-side

@@ -60,6 +60,49 @@ func TestParseRejectsGarbageBenchLine(t *testing.T) {
 	}
 }
 
+// TestParseHeaderAcrossPackages pins the artifact header on a
+// multi-package capture: every pkg line is kept in order of appearance
+// (not just the last one parsed), and GOMAXPROCS comes from the -N
+// benchmark-name suffix.
+func TestParseHeaderAcrossPackages(t *testing.T) {
+	const capture = `goos: linux
+goarch: amd64
+pkg: github.com/synchcount/synchcount/internal/sim
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkKernel_Reference_ECount_n64_f7-2     4  291102822 ns/op
+BenchmarkKernel_Vectorized_ECount_n64_f7-2   27   43831877 ns/op
+PASS
+ok  	github.com/synchcount/synchcount/internal/sim	12.3s
+goos: linux
+goarch: amd64
+pkg: github.com/synchcount/synchcount/internal/pull
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkPull_Reference_Gossip_n10000_k32-2   1  826244834 ns/op
+BenchmarkPull_Sparse_Gossip_n10000_k32-2      4  255457132 ns/op
+PASS
+`
+	report, err := parse(bufio.NewScanner(strings.NewReader(capture)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "github.com/synchcount/synchcount/internal/sim github.com/synchcount/synchcount/internal/pull"
+	if report.Pkg != want {
+		t.Fatalf("pkg = %q, want %q", report.Pkg, want)
+	}
+	if report.Gomaxprocs != 2 {
+		t.Fatalf("gomaxprocs = %d, want 2", report.Gomaxprocs)
+	}
+
+	// go test prints no suffix at GOMAXPROCS=1.
+	single, err := parse(bufio.NewScanner(strings.NewReader("BenchmarkFF_On_X 10 5 ns/op\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.Gomaxprocs != 1 || single.Benchmarks[0].Name != "BenchmarkFF_On_X" {
+		t.Fatalf("unsuffixed capture: gomaxprocs %d, name %q", single.Gomaxprocs, single.Benchmarks[0].Name)
+	}
+}
+
 func TestPairSkipsUnpaired(t *testing.T) {
 	report, err := parse(bufio.NewScanner(strings.NewReader(
 		"BenchmarkKernel_Reference_Lonely-8 4 100 ns/op\nPASS\n")))
@@ -82,9 +125,9 @@ BenchmarkPull_Reference_Gossip_n10000_k32-8 1  826244834 ns/op  12910075 ns/roun
 BenchmarkPull_Sparse_Gossip_n10000_k32-8    4  255457132 ns/op   3991517 ns/round
 BenchmarkBitslice_Reference_RandAgree_n64_f15-8 100  24000000 ns/op  11718 ns/round
 BenchmarkBitslice_Sliced_RandAgree_n64_f15-8    400   5400000 ns/op   2636 ns/round
-BenchmarkLive_Reference_FaultFree_n32-8          74  29599155 ns/op  115622 ns/round  7500577 B/op  26763 allocs/op
+BenchmarkLive_Replay_FaultFree_n32-8             74  29599155 ns/op  115622 ns/round  7500577 B/op  26763 allocs/op
 BenchmarkLive_Optimized_FaultFree_n32-8         345   6799787 ns/op   26562 ns/round   267208 B/op    420 allocs/op
-BenchmarkLive_EndToEndRef_Ecount_n32-8           10 100000000 ns/op
+BenchmarkLive_EndToEndReplay_Ecount_n32-8        10 100000000 ns/op
 BenchmarkLive_EndToEndOpt_Ecount_n32-8           20  50000000 ns/op
 PASS
 `

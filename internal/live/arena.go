@@ -48,9 +48,9 @@ func (a *epochArena) grab() []byte {
 	return b
 }
 
-// corrupt is corruptFrame rewritten onto arena storage: the copy the
-// reference router allocates per corruption comes from the epoch's
-// buffer pool instead. Decision logic is byte-identical to corruptFrame
+// corrupt is corruptFrame rewritten onto arena storage: the copy
+// corruptFrame allocates per corruption comes from the epoch's buffer
+// pool instead. Decision logic is byte-identical to corruptFrame
 // for full-size frames (the only kind honest senders produce).
 func (a *epochArena) corrupt(fr []byte, word, space uint64) []byte {
 	out := a.grab()

@@ -9,15 +9,16 @@ import (
 	"github.com/synchcount/synchcount/internal/alg"
 )
 
-// The optimized engine (runOptimized) re-plans the reference data path
-// around three ideas, keeping the observable protocol — reports, chaos
-// timelines, NDJSON — byte-identical per seed (pinned by the
-// differential suite in engine_differential_test.go):
+// The live round engine (runOptimized) runs the lockstep round that
+// replay computes sequentially as n concurrent node goroutines, built
+// around three ideas and keeping the observable protocol — reports,
+// chaos timelines, NDJSON — byte-identical to replay per seed (pinned
+// by the differential suite in engine_differential_test.go):
 //
 //  1. Decode memo + shared broadcast base: the router CRC-checks and
 //     decodes each on-time broadcast once into a wireEntry, and every
-//     receiver merges the same immutable base slice. The reference path
-//     decodes each frame n-1 times. Chaos-touched edges are expressed
+//     receiver merges the same immutable base slice instead of decoding
+//     each frame n-1 times. Chaos-touched edges are expressed
 //     as per-receiver patches: a drops list (senders whose base entry
 //     the receiver must skip) plus a priv list of extra deliveries —
 //     router-verified entries for clean duplicates/delays, raw bytes
@@ -28,14 +29,13 @@ import (
 //     epochArena and is recycled once the rounds that could still hold
 //     it (bounded by the schedule's max delay) have retired, so a
 //     fault-free round allocates nothing.
-//  3. One handoff per node per round: the reference engine runs a
-//     four-hop start→send→batch→done protocol with two timed barriers.
-//     Here the node's send doubles as the previous round's done (it can
-//     only send round r+1 after merging round r), so the synchroniser
-//     delivers one roundMsg and collects one sendMsg per node per
-//     round, halving channel traffic and timer churn while keeping the
-//     graceful-degradation semantics (non-blocking handoffs, per-round
-//     deadline, stragglers rejoin at the newest round).
+//  3. One handoff per node per round: the node's send doubles as the
+//     previous round's done (it can only send round r+1 after merging
+//     round r), so the synchroniser delivers one roundMsg and collects
+//     one sendMsg per node per round under one timed barrier, while
+//     keeping the graceful-degradation semantics (non-blocking
+//     handoffs, per-round deadline, stragglers rejoin at the newest
+//     round).
 
 // wireEntry is one router-decoded broadcast: the decode memo's unit.
 type wireEntry struct {
@@ -74,9 +74,8 @@ type roundMsg struct {
 	epoch  *epochArena
 }
 
-// fastHandle is the synchroniser's view of one optimized-engine node
-// incarnation.
-type fastHandle struct {
+// nodeHandle is the synchroniser's view of one node incarnation.
+type nodeHandle struct {
 	id, inc int
 	ch      chan roundMsg
 	quit    chan struct{}
@@ -103,7 +102,8 @@ func rearm(t *time.Timer, d time.Duration) {
 	t.Reset(d)
 }
 
-// finishReport closes the books on a run (both engines share it).
+// finishReport closes the books on a run (runOptimized and replay
+// share it).
 func finishReport(rep *Report, track *tracker, start time.Time) *Report {
 	track.finish()
 	rep.Recoveries = track.recoveries
@@ -118,11 +118,11 @@ func finishReport(rep *Report, track *tracker, start time.Time) *Report {
 }
 
 // runOptimized drives the network with the batched zero-allocation
-// round engine. Chaos decisions are the same pure hashes the reference
-// router evaluates, walked in the same sender/receiver/window order, so
-// the injected timeline — and with it the whole report — replays the
-// reference run byte-for-byte on the same seed (stall chaos excepted:
-// wall-clock stragglers are nondeterministic under both engines).
+// round engine. Chaos decisions are the same pure hashes replay
+// evaluates, walked in the same sender/receiver/window order, so the
+// injected timeline — and with it the whole report — reproduces replay
+// byte-for-byte on the same seed (stall chaos excepted: wall-clock
+// stragglers are nondeterministic, and replay rejects them).
 func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 	sched := rt.cfg.Schedule
 	rep := &Report{}
@@ -141,8 +141,7 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 	// stallFor. The pipelined engine has no start message to carry a
 	// stall, so the sleep rides the handoff of the round before (or the
 	// spawn, for a node joining at that round); the Stalls counter and
-	// fault tracking still happen at the scheduled round, like the
-	// reference engine.
+	// fault tracking still happen at the scheduled round.
 	stallFor := make([]time.Duration, rt.n)
 	stallsAt := func(round uint64) {
 		for i := range stallFor {
@@ -158,10 +157,10 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 		}
 	}
 
-	handles := make([]*fastHandle, rt.n)
+	handles := make([]*nodeHandle, rt.n)
 	stallsAt(0)
 	for i := range handles {
-		handles[i] = rt.spawnFast(i, 0, 0, stallFor[i])
+		handles[i] = rt.spawn(i, 0, 0, stallFor[i])
 	}
 	defer func() {
 		for _, h := range handles {
@@ -184,8 +183,8 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 		expect = make([]bool, rt.n)
 		// deadInc/deadRound tombstone the last crash per node: a crashed
 		// node's pipelined eager send for the crash round is an artefact
-		// the reference engine never produces (its nodes only send after
-		// a start message), so it is discarded without counting.
+		// of the pipeline (in the lockstep round a crashed node sends
+		// nothing), so it is discarded without counting.
 		deadInc   = make([]int, rt.n)
 		deadRound = make([]uint64, rt.n)
 
@@ -221,9 +220,9 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 		ep := ring.epochFor(round)
 
 		// Node-level chaos fires at the round boundary, in schedule
-		// order exactly like the reference engine. stallFor still holds
-		// this round's stalls (loaded during the previous delivery
-		// phase), which restart spawns consume.
+		// order exactly like replay. stallFor still holds this round's
+		// stalls (loaded during the previous delivery phase), which
+		// restart spawns consume.
 		if sched != nil {
 			for _, ev := range sched.eventsAt(round) {
 				switch ev.Kind {
@@ -239,7 +238,7 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 					}
 				case EventRestart:
 					if handles[ev.Node] == nil {
-						handles[ev.Node] = rt.spawnFast(ev.Node, int(rep.Restarts)+1, round, stallFor[ev.Node])
+						handles[ev.Node] = rt.spawn(ev.Node, int(rep.Restarts)+1, round, stallFor[ev.Node])
 						expect[ev.Node] = true
 						rep.Restarts++
 						track.fault(round, ev.Burst)
@@ -357,7 +356,7 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 		// Decode memo: validate each on-time broadcast once. A frame
 		// that fails here (unreachable for honest in-process senders,
 		// kept for parity) is routed raw to every receiver instead, so
-		// the per-receiver decode accounting matches the reference.
+		// the per-receiver decode accounting matches replay.
 		anyBad := false
 		for s := 0; s < rt.n; s++ {
 			entryOK[s] = false
@@ -375,8 +374,8 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 		base := ep.entries[:len(ep.entries):len(ep.entries)]
 
 		// Route through the chaos layer: identical hash decisions in
-		// identical sender/receiver/window order as the reference
-		// router, but expressed as base + patches instead of per-edge
+		// identical sender/receiver/window order as replay's router,
+		// but expressed as base + patches instead of per-edge
 		// frame slices. Untouched edges cost nothing.
 		for v := 0; v < rt.n; v++ {
 			scratchDrops[v] = scratchDrops[v][:0]

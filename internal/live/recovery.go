@@ -173,7 +173,7 @@ type Report struct {
 	TimedOutRounds uint64 `json:"timed_out_rounds"` // node-rounds past a barrier deadline
 	StaleMessages  uint64 `json:"stale_messages"`   // late/defunct-incarnation messages discarded
 	StaleBatches   uint64 `json:"stale_batches"`    // superseded round batches skipped by nodes
-	ControlDrops   uint64 `json:"control_drops"`    // start/batch handoffs refused by a lagging node
+	ControlDrops   uint64 `json:"control_drops"`    // round handoffs refused by a lagging node
 	DecodeErrors   uint64 `json:"decode_errors"`    // frames rejected by the wire validation
 
 	// Chaos accounting (what was actually injected).
