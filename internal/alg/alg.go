@@ -51,8 +51,9 @@ type Deterministic interface {
 	Deterministic() bool
 }
 
-// IsDeterministic reports whether a declares itself deterministic.
-func IsDeterministic(a Algorithm) bool {
+// IsDeterministic reports whether a declares itself deterministic. It
+// takes any algorithm value, so pulling-model algorithms qualify too.
+func IsDeterministic(a any) bool {
 	d, ok := a.(Deterministic)
 	return ok && d.Deterministic()
 }

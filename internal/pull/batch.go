@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"sync"
 
-	"github.com/synchcount/synchcount/internal/adversary"
 	"github.com/synchcount/synchcount/internal/alg"
+	"github.com/synchcount/synchcount/internal/sim"
 )
 
 // BatchStepper is the sparse batch fast path of the pulling model: the
@@ -46,59 +46,45 @@ type BatchStepper interface {
 // BatchEnv is the round context handed to BatchStepper.StepAll: the
 // start-of-round states, the fault mask, the adversary and the node
 // random streams, behind an interface that charges no dense structures.
-type BatchEnv struct {
-	view   *adversary.View
-	adv    adversary.Adversary
-	states []alg.State
-	next   []alg.State
-	faulty []bool
-	space  uint64
-	sc     *runScratch
-}
+// It is the run's sim.Frame seen through the pulling model, so handing
+// it out costs nothing.
+type BatchEnv sim.Frame
 
-func (e *BatchEnv) reset(view *adversary.View, adv adversary.Adversary, states, next []alg.State, faulty []bool, space uint64, sc *runScratch) {
-	e.view = view
-	e.adv = adv
-	e.states = states
-	e.next = next
-	e.faulty = faulty
-	e.space = space
-	e.sc = sc
-}
+func (e *BatchEnv) frame() *sim.Frame { return (*sim.Frame)(e) }
 
 // N returns the network size.
-func (e *BatchEnv) N() int { return len(e.states) }
+func (e *BatchEnv) N() int { return e.frame().N() }
 
 // Faulty reports whether node v is Byzantine.
-func (e *BatchEnv) Faulty(v int) bool { return e.faulty[v] }
+func (e *BatchEnv) Faulty(v int) bool { return e.frame().Faulty(v) }
 
 // States returns the start-of-round state vector. It is shared,
 // read-only context: steppers must not mutate it. Correct nodes'
 // responses can be read from it directly (a pull from a correct target
 // is exactly States()[target]); pulls from faulty targets must go
 // through Pull so the adversary sees them in reference order.
-func (e *BatchEnv) States() []alg.State { return e.states }
+func (e *BatchEnv) States() []alg.State { return e.frame().States() }
 
 // Pull issues one pull by receiver from target, exactly as the
 // reference loop's closure does: out-of-range targets return 0, faulty
 // targets are answered by the adversary (reduced into the state space),
 // correct targets respond with their start-of-round state.
 func (e *BatchEnv) Pull(target, receiver int) alg.State {
-	if target < 0 || target >= len(e.states) {
+	if target < 0 || target >= e.N() {
 		return 0
 	}
-	if e.faulty[target] {
-		return e.adv.Message(e.view, target, receiver) % e.space
+	if e.Faulty(target) {
+		return e.frame().Message(target, receiver)
 	}
-	return e.states[target]
+	return e.States()[target]
 }
 
 // Rng returns node v's random stream (nil for runs of deterministic
 // algorithms, which must not consult it).
-func (e *BatchEnv) Rng(v int) *rand.Rand { return e.sc.rng(v) }
+func (e *BatchEnv) Rng(v int) *rand.Rand { return e.frame().Rng(v) }
 
 // Set records node v's next state.
-func (e *BatchEnv) Set(v int, s alg.State) { e.next[v] = s }
+func (e *BatchEnv) Set(v int, s alg.State) { e.frame().Set(v, s) }
 
 // Broadcast batch path: the trivial embedding pulls every peer, so its
 // sparse form is the broadcast kernel's shared-base-plus-patches idea
@@ -138,7 +124,6 @@ func (b Broadcast) StepAll(env *BatchEnv) {
 			sc.faultyIdx = append(sc.faultyIdx, u)
 		}
 	}
-	det := alg.IsDeterministic(b.A)
 	for v := 0; v < n; v++ {
 		if env.Faulty(v) {
 			continue
@@ -149,11 +134,7 @@ func (b Broadcast) StepAll(env *BatchEnv) {
 		for _, u := range sc.faultyIdx {
 			sc.recv[u] = env.Pull(u, v)
 		}
-		var rng *rand.Rand
-		if !det {
-			rng = env.Rng(v)
-		}
-		env.Set(v, b.A.Step(v, sc.recv, rng))
+		env.Set(v, b.A.Step(v, sc.recv, env.Rng(v)))
 	}
 }
 

@@ -16,11 +16,11 @@ package pull
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 
 	"github.com/synchcount/synchcount/internal/adversary"
 	"github.com/synchcount/synchcount/internal/alg"
+	"github.com/synchcount/synchcount/internal/codec"
 	"github.com/synchcount/synchcount/internal/sim"
 )
 
@@ -52,9 +52,8 @@ type Config struct {
 	Alg Algorithm
 	// Faulty lists Byzantine node indices.
 	Faulty []int
-	// Adv supplies faulty responses; adversary.View carries the
-	// omniscient snapshot exactly as in the broadcast simulator.
-	// Defaults to adversary.Equivocate.
+	// Adv supplies faulty responses from the omniscient
+	// adversary.View. Defaults to adversary.Equivocate.
 	Adv adversary.Adversary
 	// Seed drives all randomness.
 	Seed int64
@@ -110,10 +109,8 @@ func RunFull(cfg Config) (Result, error) {
 // one, and to the retained scalar reference loop otherwise. The
 // differential suite holds the two paths bit-identical.
 func run(cfg Config) (Result, error) {
-	if bs, ok := cfg.Alg.(BatchStepper); ok {
-		return runMode(cfg, bs)
-	}
-	return runMode(cfg, nil)
+	bs, _ := cfg.Alg.(BatchStepper)
+	return runMode(cfg, bs)
 }
 
 // runReference forces the scalar reference loop regardless of batch
@@ -121,80 +118,22 @@ func run(cfg Config) (Result, error) {
 // the kernel against it.
 func runReference(cfg Config) (Result, error) { return runMode(cfg, nil) }
 
-// deterministic reports whether a pull algorithm declares itself
-// deterministic (never consults the node rng); such runs skip per-node
-// seeding entirely.
-func deterministic(a Algorithm) bool {
-	d, ok := a.(alg.Deterministic)
-	return ok && d.Deterministic()
-}
-
+// runMode runs the pulling model on the shared lockstep frame (see
+// sim.Frame); only the stepping is the pulling model's own.
 func runMode(cfg Config, batch BatchStepper) (Result, error) {
+	fr, err := sim.OpenFrame(sim.FrameConfig{
+		Engine: "pull", Alg: cfg.Alg, Faulty: cfg.Faulty, Adv: cfg.Adv, Seed: cfg.Seed,
+		MaxRounds: cfg.MaxRounds, Window: cfg.Window, Init: cfg.Init,
+		StopEarly: cfg.StopEarly, OnRound: cfg.OnRound,
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	defer fr.Close()
 	a := cfg.Alg
-	if a == nil {
-		return Result{}, errors.New("pull: nil algorithm")
-	}
-	if cfg.MaxRounds == 0 {
-		return Result{}, errors.New("pull: MaxRounds must be positive")
-	}
 	n := a.N()
-	c := a.C()
-
-	// Observers may retain the states/outputs slices after the run, so
-	// those runs bypass the pool (mirroring the broadcast simulator).
-	var sc *runScratch
-	if cfg.OnRound != nil {
-		sc = newScratch(n)
-	} else {
-		sc = getScratch(n)
-		defer putScratch(sc)
-	}
-	faulty := sc.faulty
-	correct := uint64(n)
-	for _, i := range cfg.Faulty {
-		if i < 0 || i >= n {
-			return Result{}, fmt.Errorf("pull: faulty node %d out of range [0,%d)", i, n)
-		}
-		if faulty[i] {
-			return Result{}, fmt.Errorf("pull: faulty node %d listed twice", i)
-		}
-		faulty[i] = true
-		correct--
-	}
-	adv := cfg.Adv
-	if adv == nil {
-		adv = adversary.Equivocate{}
-	}
-
-	advBase := sc.seedAll(cfg.Seed, n, !deterministic(a))
-
-	space := a.StateSpace()
-	states := sc.states
-	if cfg.Init != nil {
-		if len(cfg.Init) != n {
-			return Result{}, fmt.Errorf("pull: Init has %d states, want %d", len(cfg.Init), n)
-		}
-		for i, s := range cfg.Init {
-			if s >= space {
-				return Result{}, fmt.Errorf("pull: Init[%d] outside state space", i)
-			}
-		}
-		copy(states, cfg.Init)
-	} else {
-		for i := range states {
-			states[i] = 0
-			if space > 1 {
-				states[i] = uint64(sc.initRng.Int63n(int64(space)))
-			}
-		}
-	}
-
-	view := &adversary.View{States: states, Faulty: faulty, Space: space, Rng: sc.advRng}
-	view.SetBaseSeed(advBase)
-
-	det := sim.NewDetector(c, cfg.Window)
-	next := sc.next
-	outputs := sc.outputs
+	correct := uint64(fr.Correct())
+	env := (*BatchEnv)(fr)
 	var res Result
 	var totalPulls, nodeRounds uint64
 
@@ -202,48 +141,11 @@ func runMode(cfg Config, batch BatchStepper) (Result, error) {
 		if cfg.Abort != nil && cfg.Abort() {
 			return Result{}, ErrAborted
 		}
-		agree := true
-		common := -1
-		for i := 0; i < n; i++ {
-			outputs[i] = a.Output(i, states[i])
-			if faulty[i] {
-				continue
-			}
-			if common == -1 {
-				common = outputs[i]
-			} else if outputs[i] != common {
-				agree = false
-			}
+		if _, _, stop := fr.Observe(round); stop {
+			break
 		}
-		if cfg.OnRound != nil {
-			cfg.OnRound(round, states, outputs)
-		}
-		res.RoundsRun = round + 1
-		if det.Observe(round, agree, common) {
-			res.Stabilised = true
-			res.StabilisationTime = det.Time()
-			res.Violations = det.Violations()
-			if cfg.StopEarly {
-				finishMetrics(&res, a, totalPulls, nodeRounds)
-				return res, nil
-			}
-		}
-
-		view.Round = round
 		if batch != nil {
-			for v := 0; v < n; v++ {
-				if faulty[v] {
-					next[v] = states[v]
-				}
-			}
-			env := &sc.env
-			env.reset(view, adv, states, next, faulty, space, sc)
 			batch.StepAll(env)
-			for v := 0; v < n; v++ {
-				if !faulty[v] && next[v] >= space {
-					return Result{}, fmt.Errorf("pull: node %d stepped outside state space", v)
-				}
-			}
 			// Batch algorithms pull a constant PullsPerRound per correct
 			// node — the same count the reference closure tallies.
 			ppr := batch.PullsPerRound()
@@ -252,53 +154,35 @@ func runMode(cfg Config, batch BatchStepper) (Result, error) {
 			if correct > 0 && ppr > res.MaxPulls {
 				res.MaxPulls = ppr
 			}
-			copy(states, next)
-			continue
-		}
-		for v := 0; v < n; v++ {
-			if faulty[v] {
-				next[v] = states[v]
-				continue
-			}
-			var pulls uint64
-			puller := func(target int) alg.State {
-				pulls++
-				if target < 0 || target >= n {
-					return 0
+		} else {
+			states := env.States()
+			for v := 0; v < n; v++ {
+				if env.Faulty(v) {
+					continue
 				}
-				if faulty[target] {
-					return adv.Message(view, target, v) % space
+				var pulls uint64
+				puller := func(target int) alg.State {
+					pulls++
+					return env.Pull(target, v)
 				}
-				return states[target]
-			}
-			next[v] = a.Step(v, states[v], puller, sc.rng(v))
-			if next[v] >= space {
-				return Result{}, fmt.Errorf("pull: node %d stepped outside state space", v)
-			}
-			totalPulls += pulls
-			nodeRounds++
-			if pulls > res.MaxPulls {
-				res.MaxPulls = pulls
+				env.Set(v, a.Step(v, states[v], puller, env.Rng(v)))
+				totalPulls += pulls
+				nodeRounds++
+				if pulls > res.MaxPulls {
+					res.MaxPulls = pulls
+				}
 			}
 		}
-		copy(states, next)
+		if err := fr.Advance(); err != nil {
+			return Result{}, err
+		}
 	}
-	res.Violations = det.Violations()
-	finishMetrics(&res, a, totalPulls, nodeRounds)
-	return res, nil
-}
-
-func finishMetrics(res *Result, a Algorithm, totalPulls, nodeRounds uint64) {
+	res.Stabilised, res.StabilisationTime, res.RoundsRun, res.Violations = fr.Verdict()
 	if nodeRounds > 0 {
 		res.MeanPulls = float64(totalPulls) / float64(nodeRounds)
 	}
-	bits := uint64(0)
-	if s := a.StateSpace(); s > 1 {
-		for v := s - 1; v > 0; v >>= 1 {
-			bits++
-		}
-	}
-	res.MaxBits = res.MaxPulls * bits
+	res.MaxBits = res.MaxPulls * uint64(codec.SpaceBits(a.StateSpace()))
+	return res, nil
 }
 
 // Broadcast adapts a broadcast-model algorithm to the pulling model by

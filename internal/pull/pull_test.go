@@ -1,6 +1,7 @@
 package pull
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/synchcount/synchcount/internal/adversary"
@@ -37,6 +38,8 @@ func TestRunValidation(t *testing.T) {
 		{"faulty out of range", Config{Alg: s, MaxRounds: 10, Faulty: []int{99}}},
 		{"faulty duplicate", Config{Alg: s, MaxRounds: 10, Faulty: []int{1, 1}}},
 		{"bad init", Config{Alg: s, MaxRounds: 10, Init: []alg.State{1}}},
+		{"modulus 1", Config{Alg: toyPull{n: 4, c: 1, space: 4}, MaxRounds: 10}},
+		{"modulus 0", Config{Alg: toyPull{n: 4, c: 0, space: 4}, MaxRounds: 10}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -44,6 +47,48 @@ func TestRunValidation(t *testing.T) {
 				t.Error("expected error")
 			}
 		})
+	}
+}
+
+// toyPull is a minimal deterministic pull algorithm with a free
+// counter modulus and state space: every node pulls node 0 and moves to
+// the successor of its output, so runs agree from round 1 on.
+type toyPull struct {
+	n, c  int
+	space uint64
+}
+
+func (p toyPull) N() int                        { return p.n }
+func (p toyPull) F() int                        { return 0 }
+func (p toyPull) C() int                        { return p.c }
+func (p toyPull) StateSpace() uint64            { return p.space }
+func (p toyPull) Deterministic() bool           { return true }
+func (p toyPull) Output(_ int, s alg.State) int { return int(s % uint64(p.c)) }
+func (p toyPull) Step(_ int, _ alg.State, pull Puller, _ *rand.Rand) alg.State {
+	return alg.State((p.Output(0, pull(0)) + 1) % p.c)
+}
+
+// TestRunHugeStateSpace: initial states are drawn over the whole state
+// space even beyond 2^63, where a plain Int63n draw would panic.
+func TestRunHugeStateSpace(t *testing.T) {
+	a := toyPull{n: 6, c: 4, space: uint64(1)<<63 + 5}
+	inRange := true
+	res, err := Run(Config{
+		Alg: a, MaxRounds: 200, Seed: 3,
+		OnRound: func(round uint64, states []alg.State, _ []int) {
+			for _, s := range states {
+				inRange = inRange && s < a.space
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inRange {
+		t.Error("a state left the state space")
+	}
+	if !res.Stabilised || res.StabilisationTime > 1 {
+		t.Errorf("got %+v, want stabilisation by round 1", res)
 	}
 }
 

@@ -90,7 +90,7 @@ type trajectoryEntry struct {
 	ring   []ffObs
 }
 
-// ffEngine is the per-run fast-forward state. It lives in runScratch
+// ffEngine is the per-run fast-forward state. It lives in the Frame
 // so its buffers recycle with the rest of the working set.
 type ffEngine struct {
 	alg    alg.Algorithm
@@ -163,7 +163,7 @@ func (ff *ffEngine) arm(cfg *Config, adv adversary.Adversary, faulty []bool) *ff
 }
 
 // disarm drops references that would otherwise be retained by the
-// scratch pool across campaigns (the algorithm and the memo).
+// frame pool across campaigns (the algorithm and the memo).
 func (ff *ffEngine) disarm() {
 	ff.alg = nil
 	ff.faulty = nil

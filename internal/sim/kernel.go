@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"fmt"
+	"math/rand"
 
 	"github.com/synchcount/synchcount/internal/adversary"
 	"github.com/synchcount/synchcount/internal/alg"
@@ -27,22 +27,24 @@ import (
 // ascending, faulty senders ascending within each receiver — so
 // strategies drawing from the shared adversary rng produce identical
 // streams, and the whole round is bit-identical to the reference loop.
-func kernelRound(a alg.Algorithm, batch alg.BatchStepper, sliced alg.BitSliceStepper, adv adversary.Adversary, view *adversary.View, sc *runScratch, space uint64) error {
-	n := len(sc.states)
-	base := sc.recv
+// Next states land in f.next for Frame.Advance to check and commit.
+func kernelRound(f *Frame, a alg.Algorithm, batch alg.BatchStepper, sliced alg.BitSliceStepper, rngs []*rand.Rand) {
+	n, space := len(f.states), f.space
+	k := &f.kernel
+	base := k.recv
 	if sliced == nil {
 		// The bit-sliced path reads states from the transposed planes
 		// only, so the shared horizontal base is not materialised.
-		copy(base, sc.states)
+		copy(base, f.states)
 	}
-	p := &sc.patches
-	if rower, ok := adv.(adversary.RowMessenger); ok && len(p.Senders) > 0 {
+	p := &k.patches
+	if rower, ok := f.adv.(adversary.RowMessenger); ok && len(p.Senders) > 0 {
 		for v := 0; v < n; v++ {
-			if sc.faulty[v] {
+			if f.faulty[v] {
 				continue
 			}
 			row := p.Values[v]
-			rower.MessageRow(view, p.Senders, v, row)
+			rower.MessageRow(&f.view, p.Senders, v, row)
 			if sliced != nil {
 				// ScatterRows reduces into [0, space) while transposing;
 				// a separate O(n·f) pass here would be pure overhead, and
@@ -61,62 +63,69 @@ func kernelRound(a alg.Algorithm, batch alg.BatchStepper, sliced alg.BitSliceSte
 		}
 	} else {
 		for v := 0; v < n; v++ {
-			if sc.faulty[v] {
+			if f.faulty[v] {
 				continue
 			}
 			row := p.Values[v]
 			for j, u := range p.Senders {
-				row[j] = adv.Message(view, u, v) % space
+				row[j] = f.Message(u, v)
 			}
 		}
 	}
 
-	next := sc.next
-	if sliced != nil {
+	switch {
+	case sliced != nil:
 		if len(p.Senders) > 0 {
-			sc.planes.ScatterRows(p.Values, space)
+			k.planes.ScatterRows(p.Values, space)
 		}
-		sc.planes.PackStates(sc.states)
-		sliced.StepAllSliced(next, &sc.planes, p, sc.nodeRngs)
+		k.planes.PackStates(f.states)
+		sliced.StepAllSliced(f.next, &k.planes, p, rngs)
+	case batch != nil:
+		batch.StepAll(f.next, base, p, rngs)
+	default:
 		for v := 0; v < n; v++ {
-			if !sc.faulty[v] && next[v] >= space {
-				return fmt.Errorf("sim: node %d stepped outside state space (%d >= %d)", v, next[v], space)
-			}
-		}
-	} else if batch != nil {
-		batch.StepAll(next, base, p, sc.nodeRngs)
-		for v := 0; v < n; v++ {
-			if !sc.faulty[v] && next[v] >= space {
-				return fmt.Errorf("sim: node %d stepped outside state space (%d >= %d)", v, next[v], space)
-			}
-		}
-	} else {
-		for v := 0; v < n; v++ {
-			if sc.faulty[v] {
+			if f.faulty[v] {
 				continue
 			}
 			p.Apply(base, v)
-			next[v] = a.Step(v, base, sc.nodeRngs[v])
-			if next[v] >= space {
-				return fmt.Errorf("sim: node %d stepped outside state space (%d >= %d)", v, next[v], space)
-			}
+			f.next[v] = a.Step(v, base, rngs[v])
 		}
 	}
-	for v := 0; v < n; v++ {
-		if sc.faulty[v] {
-			next[v] = sc.states[v]
-		}
-	}
-	return nil
 }
 
-// preparePatches provisions the per-round patch matrix for the current
-// fault mask: the ascending faulty-sender index list and one
-// len(Senders) row per correct receiver, all carved out of a single
-// pooled backing array.
-func (s *runScratch) preparePatches(n int) {
+// kernelScratch is the broadcast simulator's own per-run working set:
+// the receive vector, and for the vectorized kernel the ascending
+// faulty-sender list, the per-receiver patch matrix, the bit-sliced
+// planes and the fast-forward engine. It lives in the Frame, so it
+// recycles with the rest of the working set.
+type kernelScratch struct {
+	recv      []alg.State
+	faultyIdx []int
+	patchFlat []alg.State
+	patchRows [][]alg.State
+	patches   alg.Patches
+
+	// planes holds the transposed state and patch planes, provisioned
+	// only for runs whose algorithm takes the bit-sliced path.
+	planes alg.BitPlanes
+
+	// ff is the fast-forward engine state (see fastforward.go); arm
+	// and disarm reset it per run.
+	ff ffEngine
+}
+
+// prepare sizes the receive vector and provisions the per-round patch
+// matrix for the frame's fault mask: the ascending faulty-sender index
+// list and one len(Senders) row per correct receiver, all carved out
+// of a single pooled backing array.
+func (s *kernelScratch) prepare(fr *Frame) {
+	n := fr.N()
+	if cap(s.recv) < n {
+		s.recv = make([]alg.State, n)
+	}
+	s.recv = s.recv[:n]
 	s.faultyIdx = s.faultyIdx[:0]
-	for u, f := range s.faulty {
+	for u, f := range fr.faulty {
 		if f {
 			s.faultyIdx = append(s.faultyIdx, u)
 		}
@@ -138,14 +147,14 @@ func (s *runScratch) preparePatches(n int) {
 	s.patchRows = s.patchRows[:n]
 	flat := s.patchFlat[:n*nf]
 	for v := 0; v < n; v++ {
-		if s.faulty[v] {
+		if fr.faulty[v] {
 			s.patchRows[v] = nil
 			continue
 		}
 		s.patchRows[v] = flat[v*nf : (v+1)*nf : (v+1)*nf]
 	}
 	s.patches = alg.Patches{
-		Faulty:  s.faulty,
+		Faulty:  fr.faulty,
 		Senders: s.faultyIdx,
 		Values:  s.patchRows,
 	}

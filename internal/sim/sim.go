@@ -16,7 +16,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 
 	"github.com/synchcount/synchcount/internal/adversary"
@@ -168,193 +167,97 @@ func run(cfg Config) (Result, error) { return runMode(cfg, true) }
 // the BenchmarkKernel_* comparisons measure against.
 func runReference(cfg Config) (Result, error) { return runMode(cfg, false) }
 
+// runMode runs one simulation inside a Frame, which owns setup, seed
+// streams and the observe → detect step; the broadcast model's own part
+// is the stepping (the scalar reference loop, or kernelRound plus
+// fast-forward).
 func runMode(cfg Config, vectorized bool) (Result, error) {
+	fr, err := OpenFrame(FrameConfig{
+		Engine: "sim", Alg: cfg.Alg, Faulty: cfg.Faulty, Adv: cfg.Adv, Seed: cfg.Seed,
+		MaxRounds: cfg.MaxRounds, Window: cfg.Window, Init: cfg.Init,
+		StopEarly: cfg.StopEarly, OnRound: cfg.OnRound,
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	defer fr.Close()
 	a := cfg.Alg
-	if a == nil {
-		return Result{}, errors.New("sim: nil algorithm")
-	}
-	if cfg.MaxRounds == 0 {
-		return Result{}, errors.New("sim: MaxRounds must be positive")
-	}
 	n := a.N()
-	c := a.C()
-	if c < 2 {
-		return Result{}, fmt.Errorf("sim: algorithm has counter modulus %d < 2", c)
-	}
-	// The O(n) working set comes from the scratch pool so campaign
-	// trials reuse per-worker slices and RNGs instead of re-allocating
-	// them every run. Runs with an OnRound observer get private
-	// allocations: the observer sees the states/outputs slices and may
-	// retain them (trace recording), which recycling would corrupt.
-	var sc *runScratch
-	if cfg.OnRound == nil {
-		sc = getScratch(n)
-		defer putScratch(sc)
-	} else {
-		sc = newScratch(n)
-	}
-	faulty := sc.faulty
-	for _, i := range cfg.Faulty {
-		if i < 0 || i >= n {
-			return Result{}, fmt.Errorf("sim: faulty node %d out of range [0,%d)", i, n)
-		}
-		if faulty[i] {
-			return Result{}, fmt.Errorf("sim: faulty node %d listed twice", i)
-		}
-		faulty[i] = true
-	}
-	adv := cfg.Adv
-	if adv == nil {
-		adv = adversary.Equivocate{}
-	}
-	window := cfg.Window
-	if window == 0 {
-		window = DefaultWindowFor(c)
-	}
-
-	// Independent, reproducible randomness streams. Deterministic
-	// algorithms never touch the per-node streams, so their (costly)
-	// reseeding is skipped — the node seeds are the tail of the master
-	// derivation, leaving all other streams bit-identical.
-	advBase := sc.seedAll(cfg.Seed, n, !alg.IsDeterministic(a))
-	initRng, advRng, nodeRngs := sc.initRng, sc.advRng, sc.nodeRngs
-
-	space := a.StateSpace()
-	states := sc.states
-	if cfg.Init != nil {
-		if len(cfg.Init) != n {
-			return Result{}, fmt.Errorf("sim: Init has %d states, want %d", len(cfg.Init), n)
-		}
-		for i, s := range cfg.Init {
-			if s >= space {
-				return Result{}, fmt.Errorf("sim: Init[%d] = %d outside state space %d", i, s, space)
-			}
-			states[i] = s
-		}
-	} else {
-		for i := range states {
-			states[i] = uniformState(initRng, space)
-		}
-	}
-
-	next := sc.next
-	recv := sc.recv
-	outputs := sc.outputs
-
-	correctCount := 0
-	for _, f := range faulty {
-		if !f {
-			correctCount++
-		}
-	}
+	correct := uint64(fr.Correct())
 	res := Result{
 		Overloaded:       len(cfg.Faulty) > a.F(),
-		MessagesPerRound: uint64(correctCount) * uint64(n-1),
-		BitsPerRound:     uint64(correctCount) * uint64(n-1) * uint64(alg.StateBits(a)),
+		MessagesPerRound: correct * uint64(n-1),
+		BitsPerRound:     correct * uint64(n-1) * uint64(alg.StateBits(a)),
 	}
 
-	view := &adversary.View{
-		States: states,
-		Faulty: faulty,
-		Space:  space,
-		Rng:    advRng,
-	}
-	view.SetBaseSeed(advBase)
-
+	k := &fr.kernel
+	k.prepare(fr)
+	rngs := fr.Rngs()
 	var batch alg.BatchStepper
 	var sliced alg.BitSliceStepper
 	var ff *ffEngine
 	if vectorized {
 		batch, _ = a.(alg.BatchStepper)
-		sc.preparePatches(n)
 		if !cfg.NoBitSlice {
 			if bs, ok := a.(alg.BitSliceStepper); ok {
 				if bits := bs.SliceBits(); bits > 0 {
 					sliced = bs
-					sc.planes.Provision(n, bits, sc.faulty)
+					k.planes.Provision(n, bits, fr.faulty)
 				}
 			}
 		}
 		// The fast-forward engine only rides the vectorized kernel; the
 		// scalar reference loop stays the plain semantic baseline the
 		// differential suites compare both against.
-		if ff = sc.ff.arm(&cfg, adv, faulty); ff != nil {
-			defer sc.ff.disarm()
+		if ff = k.ff.arm(&cfg, fr.adv, fr.faulty); ff != nil {
+			defer k.ff.disarm()
 		}
 	}
-
-	det := NewDetector(c, window)
 
 	for round := uint64(0); round < cfg.MaxRounds; round++ {
 		if cfg.Abort != nil && cfg.Abort() {
 			return Result{}, ErrAborted
 		}
 		if ff != nil {
-			if ring, ok := ff.probe(round, states); ok {
+			if ring, ok := ff.probe(round, fr.states); ok {
 				// The execution from this round on provably replays the
 				// recorded cycle: conclude detector semantics to
 				// MaxRounds analytically, bit-identical to simulating.
-				return finishFastForward(det, ring, round, &cfg, c, res), nil
+				res.Stabilised, res.StabilisationTime, res.RoundsRun, res.Violations = fr.Verdict()
+				return finishFastForward(&fr.det, ring, round, &cfg, a.C(), res), nil
 			}
 		}
-		// Observe outputs of the start-of-round configuration.
-		agree := true
-		common := -1
-		for i := 0; i < n; i++ {
-			outputs[i] = a.Output(i, states[i])
-			if faulty[i] {
-				continue
-			}
-			if common == -1 {
-				common = outputs[i]
-			} else if outputs[i] != common {
-				agree = false
-			}
-		}
-		if cfg.OnRound != nil {
-			cfg.OnRound(round, states, outputs)
-		}
-		res.RoundsRun = round + 1
-		if det.Observe(round, agree, common) {
-			res.Stabilised = true
-			res.StabilisationTime = det.Time()
-			res.Violations = det.Violations()
-			if cfg.StopEarly {
-				return res, nil
-			}
+		agree, common, stop := fr.Observe(round)
+		if stop {
+			break
 		}
 		if ff != nil {
 			ff.record(agree, common)
 		}
 
 		// Deliver messages and step every correct node.
-		view.Round = round
 		if vectorized {
-			if err := kernelRound(a, batch, sliced, adv, view, sc, space); err != nil {
-				return Result{}, err
-			}
+			kernelRound(fr, a, batch, sliced, rngs)
 		} else {
 			for v := 0; v < n; v++ {
-				if faulty[v] {
-					next[v] = states[v]
+				if fr.faulty[v] {
 					continue
 				}
 				for u := 0; u < n; u++ {
-					if faulty[u] {
-						recv[u] = adv.Message(view, u, v) % space
+					if fr.faulty[u] {
+						k.recv[u] = fr.Message(u, v)
 					} else {
-						recv[u] = states[u]
+						k.recv[u] = fr.states[u]
 					}
 				}
-				next[v] = a.Step(v, recv, nodeRngs[v])
-				if next[v] >= space {
-					return Result{}, fmt.Errorf("sim: node %d stepped outside state space (%d >= %d)", v, next[v], space)
-				}
+				fr.next[v] = a.Step(v, k.recv, rngs[v])
 			}
 		}
-		copy(states, next)
+		if err := fr.Advance(); err != nil {
+			return Result{}, err
+		}
 	}
-	res.Violations = det.Violations()
+	res.Stabilised, res.StabilisationTime, res.RoundsRun, res.Violations = fr.Verdict()
 	return res, nil
 }
 
