@@ -18,7 +18,7 @@ BENCH_PKGS = ./internal/sim ./internal/pull ./internal/live
 # its optional gate (0 = report only; cross-run ns/op diffs are noisy
 # across machines, so the enforced gates live in bench-smoke's
 # same-machine ratios instead).
-BASELINE ?= BENCH_7.json
+BASELINE ?= BENCH_10.json
 MIN_SPEEDUP ?= 0
 
 # staticcheck release the lint job pins; `make lint` soft-skips when the
@@ -26,7 +26,7 @@ MIN_SPEEDUP ?= 0
 # behalf) while CI always installs this exact version.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build test race bench bench-json bench-smoke bench-diff fuzz-smoke shard-smoke compare-smoke resultdb-smoke pull-smoke kernel-race-smoke live-smoke lint fmt fmt-check vet ci
+.PHONY: build test race alloc-gates bench bench-json bench-smoke bench-diff benchmark-smoke fuzz-smoke shard-smoke compare-smoke resultdb-smoke pull-smoke kernel-race-smoke live-smoke lint fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Allocation gates, outside the race detector: its runtime drops a
+# share of sync.Pool puts on purpose, so these tests skip under -race
+# and `make race` alone never enforces them. The Random adversary's
+# full runs must not allocate per round, and its MessageRow not at all
+# after a round's first row.
+alloc-gates:
+	$(GO) test -run '^TestRandom(AdversaryAllocsFlat|MessageRowAllocFree)$$' ./internal/sim
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
@@ -92,6 +100,13 @@ bench-smoke:
 bench-diff:
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=10x $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchjson -baseline $(BASELINE) -min-speedup $(MIN_SPEEDUP)
+
+# The repository benchmark (benchmark/) is a Go module of its own, so
+# the root ./... patterns never compile it: vet it and run its short
+# tests here, so that an internal/ signature change that breaks
+# benchmark/run.sh fails CI instead.
+benchmark-smoke:
+	$(GO) -C benchmark vet . && $(GO) -C benchmark test -short .
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzPackUnpack$$' -fuzztime=10s ./internal/codec
@@ -224,4 +239,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check lint race fuzz-smoke bench pull-smoke kernel-race-smoke shard-smoke compare-smoke resultdb-smoke bench-smoke live-smoke
+ci: build vet fmt-check lint race alloc-gates benchmark-smoke fuzz-smoke bench pull-smoke kernel-race-smoke shard-smoke compare-smoke resultdb-smoke bench-smoke live-smoke

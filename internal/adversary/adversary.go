@@ -43,6 +43,25 @@ type View struct {
 	correctScratch []alg.State
 	correctRound   uint64
 	correctValid   bool
+
+	// Round-scoped Random broadcasts: each faulty sender's value is
+	// drawn at most once per (Round, Space, base seed) and shared by
+	// every receiver, from one reusable source re-seeded per sender.
+	// An entry is current when its gen equals bcastGen, so bumping
+	// bcastGen invalidates all of them at once. Allocated on the first
+	// Random draw only.
+	bcast      []broadcast
+	bcastRng   *rand.Rand
+	bcastGen   uint64
+	bcastRound uint64
+	bcastSpace uint64
+	bcastValid bool
+}
+
+// broadcast is one cached Random value, current iff gen == View.bcastGen.
+type broadcast struct {
+	gen uint64
+	s   alg.State
 }
 
 // AppendCorrectStates appends the states of all correct nodes, in node
@@ -107,6 +126,8 @@ type RowMessenger interface {
 // periodicity-aware fast-forward engine gates on. Implementing it
 // asserts that the strategy keeps no hidden mutable state of its own —
 // every message choice is a pure function of the View it is handed.
+// The View's own round-scoped caches (the correct-state vector,
+// Random's broadcasts) only memoise such functions and do not count.
 // All seven built-in strategies qualify; the greedy lookahead caches
 // per-round assignments across calls and therefore opts out by not
 // implementing the interface.
@@ -124,11 +145,11 @@ type RowMessenger interface {
 //     round-oblivious strategy returns 1.
 //   - 0: the strategy is still stateless, but its choices draw on the
 //     adversary randomness stream or the absolute round number
-//     (Random derives a per-(round, sender) RNG; Equivocate consumes
-//     the shared stream), so the effective configuration includes an
-//     RNG cursor that never revisits itself within any realistic
-//     horizon. Fast-forward stands down and the run proceeds on the
-//     plain kernel, bit for bit as before.
+//     (Random seeds each round's broadcasts from the round number;
+//     Equivocate consumes the shared stream), so the effective
+//     configuration includes an RNG cursor that never revisits itself
+//     within any realistic horizon. Fast-forward stands down and the
+//     run proceeds on the plain kernel, bit for bit as before.
 type Snapshottable interface {
 	Adversary
 	// SnapshotPeriod returns the round period p of the strategy's
@@ -164,7 +185,10 @@ func (Silent) Message(*View, int, int) alg.State { return 0 }
 func (Silent) SnapshotPeriod() uint64 { return 1 }
 
 // Random broadcasts a fresh uniform state each round, the same to all
-// receivers (a non-equivocating but noisy fault).
+// receivers (a non-equivocating but noisy fault). Sender from's value
+// in round r is the first uniform draw of a math/rand source seeded
+// with r·1000003 + from·7919 + the View's base seed; the View computes
+// it once per (round, sender) and serves every receiver from that.
 type Random struct{}
 
 // Name implements Adversary.
@@ -172,9 +196,7 @@ func (Random) Name() string { return "random" }
 
 // Message implements Adversary.
 func (Random) Message(v *View, from, _ int) alg.State {
-	// Derive the value from (round, sender) so all receivers of this
-	// sender observe the same state this round.
-	return uniform(v.perSenderRng(from), v.Space)
+	return v.randomBroadcast(from)
 }
 
 // SnapshotPeriod implements Snapshottable. Random is stateless but its
@@ -307,17 +329,38 @@ func (Flip) Message(v *View, _, _ int) alg.State {
 // pure function of (States, Faulty).
 func (Flip) SnapshotPeriod() uint64 { return 1 }
 
-// perSenderRng derives a reproducible per-(round, sender) RNG from the
-// adversary's stream so that "broadcast" strategies send one consistent
-// value per round without shared mutable state.
-func (v *View) perSenderRng(from int) *rand.Rand {
-	seed := int64(v.Round)*1000003 + int64(from)*7919 + v.baseSeed
-	return rand.New(rand.NewSource(seed))
+// randomBroadcast returns Random's value for sender from in the current
+// round: a pure function of (Round, from, Space, base seed), computed
+// at most once per round and sender. Re-seeding the one reusable source
+// yields the same stream as a freshly allocated rand.NewSource(seed).
+func (v *View) randomBroadcast(from int) alg.State {
+	if !v.bcastValid || v.bcastRound != v.Round || v.bcastSpace != v.Space {
+		v.bcastGen++
+		v.bcastRound, v.bcastSpace, v.bcastValid = v.Round, v.Space, true
+	}
+	if len(v.bcast) < len(v.Faulty) {
+		v.bcast = make([]broadcast, len(v.Faulty))
+	}
+	b := &v.bcast[from]
+	if b.gen != v.bcastGen {
+		seed := int64(v.Round)*1000003 + int64(from)*7919 + v.baseSeed
+		if v.bcastRng == nil {
+			v.bcastRng = rand.New(rand.NewSource(seed))
+		} else {
+			v.bcastRng.Seed(seed)
+		}
+		b.gen, b.s = v.bcastGen, uniform(v.bcastRng, v.Space)
+	}
+	return b.s
 }
 
-// SetBaseSeed fixes the seed component used by per-sender derived RNGs.
+// SetBaseSeed fixes the seed component of Random's per-(round, sender)
+// broadcasts and drops any broadcasts cached under the previous seed.
 // The simulator calls it once per run.
-func (v *View) SetBaseSeed(seed int64) { v.baseSeed = seed }
+func (v *View) SetBaseSeed(seed int64) {
+	v.baseSeed = seed
+	v.bcastValid = false
+}
 
 // Registry returns all built-in adversary strategies keyed by name.
 func Registry() map[string]Adversary {
