@@ -64,6 +64,29 @@ func TestMajorityDefaultsToZero(t *testing.T) {
 	}
 }
 
+// TestMajorityMatchesTally pins the Boyer–Moore Majority to the
+// Tally verdict (majority value, else 0) on seeded inputs over small
+// alphabets — so ties and near-majorities are common — including the
+// ∞ key and empty slices.
+func TestMajorityMatchesTally(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 4000; trial++ {
+		alphabet := []uint64{0, 1, 7, tallyInfinity}[:1+rng.Intn(4)]
+		values := make([]uint64, rng.Intn(12))
+		for i := range values {
+			values[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		tl := NewTally(len(values))
+		for _, v := range values {
+			tl.Add(v)
+		}
+		want, _ := tl.Majority()
+		if got := Majority(values); got != want {
+			t.Fatalf("Majority(%v) = %d, Tally verdict %d", values, got, want)
+		}
+	}
+}
+
 func TestMinValueWithCountAbove(t *testing.T) {
 	tl := NewTally(8)
 	for _, v := range []uint64{4, 4, 4, 2, 2, 9, 9, 9} {

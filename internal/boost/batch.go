@@ -25,6 +25,8 @@ import (
 var _ alg.BatchStepper = (*Counter)(nil)
 
 // batchScratch is the pooled working set of one StepAll invocation.
+// Step and VoteR borrow it too: subBase as the block receive vector,
+// blockVotes, the pointer, round and register tallies, and pack.
 type batchScratch struct {
 	// Per-node decodings of the shared receive base (correct entries
 	// only).
@@ -40,7 +42,6 @@ type batchScratch struct {
 	rTally   []*alg.DenseTally // per-block round-counter votes, domain τ
 
 	blockVotes []uint64 // per-receiver block vote scratch
-	voteCount  []int    // counting sort for the cross-block majority
 	sharedVote []uint64 // round-constant block votes of fault-free blocks
 	blockFault []bool   // does block i contain a faulty sender?
 
@@ -77,7 +78,6 @@ func (b *Counter) getScratch() *batchScratch {
 		ptrTally:   make([]*alg.DenseTally, b.k),
 		rTally:     make([]*alg.DenseTally, b.k),
 		blockVotes: make([]uint64, b.k),
-		voteCount:  make([]int, b.m),
 		sharedVote: make([]uint64, b.k),
 		blockFault: make([]bool, b.k),
 		colOf:      make([]int32, b.nTot),
@@ -162,9 +162,7 @@ func (b *Counter) StepAll(next, base []alg.State, p *alg.Patches, rngs []*rand.R
 		kingA := sc.regA[king]
 		for v := 0; v < b.nTot; v++ {
 			regs := phaseking.Step(b.pkCfg, b.Registers(base[v]), bigR, sc.regTally, kingA)
-			aField, dField := regs.Encode(b.cOut)
-			sc.pack[0], sc.pack[1], sc.pack[2] = sc.newBase[v], aField, dField
-			next[v] = b.cdc.MustPack(sc.pack[:]...)
+			next[v] = b.pack(sc, sc.newBase[v], regs)
 		}
 		return
 	}
@@ -193,8 +191,7 @@ func (b *Counter) StepAll(next, base []alg.State, p *alg.Patches, rngs []*rand.R
 			kingA = sc.regA[king]
 		}
 		regs := phaseking.Step(b.pkCfg, b.Registers(base[v]), bigR, sc.regTally, kingA)
-		aField, dField := regs.Encode(b.cOut)
-		next[v] = b.cdc.MustPack(sc.newBase[v], aField, dField)
+		next[v] = b.pack(sc, sc.newBase[v], regs)
 		for col, u := range p.Senders {
 			sc.regTally.Remove(sc.patchA[col])
 			blk := u / b.n
@@ -206,8 +203,8 @@ func (b *Counter) StepAll(next, base []alg.State, p *alg.Patches, rngs []*rand.R
 
 // batchVoteR is voteR over the currently patched tallies: per-block
 // leader-pointer majorities (fault-free blocks reuse the shared round
-// result), the cross-block majority B by counting sort, and the round
-// counter majority of leader block B.
+// result), the cross-block majority B, and the round counter majority
+// of leader block B.
 func (b *Counter) batchVoteR(sc *batchScratch) uint64 {
 	for i := 0; i < b.k; i++ {
 		if sc.blockFault[i] {
@@ -217,23 +214,7 @@ func (b *Counter) batchVoteR(sc *batchScratch) uint64 {
 			sc.blockVotes[i] = sc.sharedVote[i]
 		}
 	}
-	for i := range sc.voteCount {
-		sc.voteCount[i] = 0
-	}
-	bigB := uint64(0)
-	found := false
-	for _, v := range sc.blockVotes {
-		// Block votes are leader pointers in [m] (or the default 0), so
-		// the counting array covers them; an absolute majority is
-		// unique, so the first value to cross half the blocks is it.
-		sc.voteCount[v]++
-		if !found && 2*sc.voteCount[v] > b.k {
-			bigB, found = v, true
-		}
-	}
-	if bigB >= uint64(b.k) {
-		bigB = 0 // parity with voteR's clamp of garbage votes
-	}
+	bigB := b.leaderBlock(sc.blockVotes)
 	val, _ := sc.rTally[bigB].Majority()
 	return val % b.tau
 }

@@ -68,8 +68,8 @@ type Counter struct {
 	baseC  uint64 // base counter modulus c
 	detBit bool
 
-	// pool recycles the batch-stepping working set (see batch.go)
-	// across rounds and concurrent campaign trials.
+	// pool recycles the stepping working set (see batch.go) of Step
+	// and StepAll across rounds, nodes and concurrent campaign trials.
 	pool sync.Pool
 }
 
@@ -215,30 +215,42 @@ func (b *Counter) BlockMod(i int) uint64 { return b.blockMod[i] }
 // Step implements alg.Algorithm. Node v = (i, j) performs, in order:
 // (1) the update of its block algorithm A_i, (2) the leader/counter vote
 // computing R, and (3) instruction set I_R of the phase king protocol.
+// The working set — block receive vector, vote tallies and pack buffer
+// — comes from the Counter's scratch pool, so a warm Step allocates
+// nothing and concurrent Steps on one Counter never share a tally.
 func (b *Counter) Step(v int, recv []alg.State, rng *rand.Rand) alg.State {
+	sc := b.getScratch()
+	defer b.pool.Put(sc)
 	i, j := b.BlockOf(v), b.IndexInBlock(v)
 
 	// (1) Update A_i from the states of the own block.
-	blockRecv := make([]alg.State, b.n)
-	for jj := 0; jj < b.n; jj++ {
+	blockRecv := sc.subBase
+	for jj := range blockRecv {
 		blockRecv[jj] = b.cdc.Field(recv[i*b.n+jj], 0)
 	}
 	newBase := b.base.Step(j, blockRecv, rng)
 
 	// (2) Three-level majority vote (Section 3.3).
-	bigR := b.voteR(recv)
+	bigR := b.voteR(sc, recv)
 
 	// (3) Phase king instruction set I_R on the a/d registers.
-	tally := alg.NewTally(b.nTot)
+	sc.regTally.Reset()
 	for u := 0; u < b.nTot; u++ {
-		tally.Add(b.Registers(recv[u]).A)
+		sc.regTally.Add(b.Registers(recv[u]).A)
 	}
 	king := int(phaseking.KingOf(bigR))
 	kingA := b.Registers(recv[king]).A
-	regs := phaseking.Step(b.pkCfg, b.Registers(recv[v]), bigR, tally, kingA)
+	regs := phaseking.Step(b.pkCfg, b.Registers(recv[v]), bigR, sc.regTally, kingA)
+	return b.pack(sc, newBase, regs)
+}
 
+// pack encodes a node's next state through the scratch pack buffer:
+// passing a scratch slice through MustPack's ... reuses its backing
+// array instead of allocating the variadic slice.
+func (b *Counter) pack(sc *batchScratch, newBase alg.State, regs phaseking.Registers) alg.State {
 	aField, dField := regs.Encode(b.cOut)
-	return b.cdc.MustPack(newBase, aField, dField)
+	sc.pack[0], sc.pack[1], sc.pack[2] = newBase, aField, dField
+	return b.cdc.MustPack(sc.pack[:]...)
 }
 
 // VoteR exposes the three-level majority vote for analysis and testing:
@@ -246,34 +258,44 @@ func (b *Counter) Step(v int, recv []alg.State, rng *rand.Rand) alg.State {
 // counter R that node derives. All correct nodes receive identical
 // vectors from correct senders, so Lemma 3 is a statement about how this
 // function behaves across per-receiver variations of the faulty entries.
-func (b *Counter) VoteR(recv []alg.State) uint64 { return b.voteR(recv) }
+func (b *Counter) VoteR(recv []alg.State) uint64 {
+	sc := b.getScratch()
+	defer b.pool.Put(sc)
+	return b.voteR(sc, recv)
+}
 
 // voteR computes the common round counter R from a full receive vector:
 // bⁱ = majority{b[i,j]}, B = majority{bⁱ}, R = majority{r[B,j]}.
-func (b *Counter) voteR(recv []alg.State) uint64 {
-	blockVotes := make([]uint64, b.k)
-	tally := alg.NewTally(b.n)
+func (b *Counter) voteR(sc *batchScratch, recv []alg.State) uint64 {
 	for i := 0; i < b.k; i++ {
-		tally.Reset()
+		t := sc.ptrTally[i]
+		t.Reset()
 		for j := 0; j < b.n; j++ {
 			_, _, ptr := b.Leader(i*b.n+j, recv[i*b.n+j])
-			tally.Add(ptr)
+			t.Add(ptr)
 		}
-		v, _ := tally.Majority() // defaults to 0 without absolute majority
-		blockVotes[i] = v
+		sc.blockVotes[i], _ = t.Majority() // defaults to 0 without absolute majority
 	}
+	bigB := b.leaderBlock(sc.blockVotes)
+	t := sc.rTally[bigB]
+	t.Reset()
+	for j := 0; j < b.n; j++ {
+		u := int(bigB)*b.n + j
+		r, _, _ := b.Leader(u, recv[u])
+		t.Add(r)
+	}
+	bigR, _ := t.Majority()
+	return bigR % b.tau
+}
+
+// leaderBlock is the cross-block vote B = majority{bⁱ} over the
+// per-block leader-pointer votes.
+func (b *Counter) leaderBlock(blockVotes []uint64) uint64 {
 	bigB := alg.Majority(blockVotes)
 	if bigB >= uint64(b.k) {
 		bigB = 0 // honest pointers lie in [m] ⊆ [k]; clamp garbage
 	}
-	tally.Reset()
-	for j := 0; j < b.n; j++ {
-		u := int(bigB)*b.n + j
-		r, _, _ := b.Leader(u, recv[u])
-		tally.Add(r)
-	}
-	bigR, _ := tally.Majority()
-	return bigR % b.tau
+	return bigB
 }
 
 // Output implements alg.Algorithm: the output register a, with the reset

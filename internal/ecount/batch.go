@@ -23,6 +23,9 @@ import (
 // differential suite and TestBatchStepMatchesStep.
 var _ alg.BatchStepper = (*Counter)(nil)
 
+// batchScratch is the pooled working set of StepAll. Step and
+// ReadClock borrow it too: subBase as the sub-receive vector, the clock
+// and register tallies, and pack.
 type batchScratch struct {
 	fldBlock []uint64 // codec field 0 per correct node (raw, pre-mod)
 	clockKey []uint64 // block-clock tally key per correct node
@@ -154,41 +157,20 @@ func (e *Counter) StepAll(next, base []alg.State, p *alg.Patches, rngs []*rand.R
 			sc.regTally.Add(dec)
 		}
 
-		own := base[v]
-		var match [2]bool
-		var instr [2]uint64
-		var nextP [2]uint64
+		var r [2]uint64
+		var ok [2]bool
 		for bi := 0; bi < 2; bi++ {
-			pp := e.cdc.Field(own, fieldP0+bi)
-			var r uint64
-			var ok bool
 			if sc.blockFault[bi] {
-				r, ok = e.readClockTally(bi, sc.clockTally[bi])
+				r[bi], ok[bi] = e.readClockTally(bi, sc.clockTally[bi])
 			} else {
-				r, ok = sc.sharedR[bi], sc.sharedOK[bi]
-			}
-			start := e.windowStart(bi)
-			if pp < e.tau && ok && r == (start+pp)%e.period {
-				match[bi] = true
-				instr[bi] = pp
-			}
-			switch {
-			case ok && r == (start+e.period-1)%e.period:
-				nextP[bi] = 0
-			case match[bi] && pp+1 < e.tau:
-				nextP[bi] = pp + 1
-			default:
-				nextP[bi] = e.pointerIdle()
+				r[bi], ok[bi] = sc.sharedR[bi], sc.sharedOK[bi]
 			}
 		}
-
+		own := base[v]
+		ins, sweep, nextP := e.sweep(own, r, ok)
 		regs := e.Registers(own)
-		if match[0] || match[1] {
-			ins := instr[0]
-			if !match[0] {
-				ins = instr[1]
-			}
-			king := int(phaseking.KingOf(ins % e.tau))
+		if sweep {
+			king := int(phaseking.KingOf(ins))
 			var kingA uint64
 			if c := sc.colOf[king]; c != 0 {
 				kingA = sc.patchReg[c-1]
@@ -199,9 +181,7 @@ func (e *Counter) StepAll(next, base []alg.State, p *alg.Patches, rngs []*rand.R
 		} else {
 			regs.A = phaseking.Increment(regs.A, e.c)
 		}
-		aField, dField := regs.Encode(e.c)
-		sc.pack[0], sc.pack[1], sc.pack[2], sc.pack[3], sc.pack[4] = sc.newSub[v], nextP[0], nextP[1], aField, dField
-		next[v] = e.cdc.MustPack(sc.pack[:]...)
+		next[v] = e.pack(sc, sc.newSub[v], nextP, regs)
 
 		for col, u := range p.Senders {
 			sc.clockTally[e.BlockOf(u)].Remove(sc.patchClock[col])

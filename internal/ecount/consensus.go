@@ -126,9 +126,10 @@ func (c *Consensus) Step(regs phaseking.Registers, r uint64, observed []uint64) 
 
 // StepCounts is Step for callers that already hold the round's tally
 // of decoded register reports (keys as produced by DecodeReport) and
-// the king's decoded report — the entry point of the vectorized round
-// kernel, which shares one pooled tally across all receivers instead
-// of rebuilding a map per node.
+// the king's decoded report — the entry point of the counter's scalar
+// Step and of the vectorized round kernel, which tally into pooled
+// dense tallies instead of building a map per node. Step remains the
+// semantic reference.
 func (c *Consensus) StepCounts(regs phaseking.Registers, r uint64, tally alg.Counts, kingA uint64) phaseking.Registers {
 	return phaseking.Step(c.cfg, regs, r%c.Rounds(), tally, kingA)
 }

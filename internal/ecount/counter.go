@@ -79,8 +79,9 @@ type Counter struct {
 	cdc   *codec.Codec // fields: block state, p0 ∈ [τ+1], p1 ∈ [τ+1], a ∈ [c+1], d ∈ {0,1}
 	bound uint64
 
-	// pool recycles the batch-stepping working set (see batch.go)
-	// across rounds and concurrent campaign trials.
+	// pool recycles the stepping working set (see batch.go) of Step,
+	// ReadClock and StepAll across rounds, nodes and concurrent
+	// campaign trials.
 	pool sync.Pool
 }
 
@@ -247,65 +248,92 @@ func (e *Counter) windowStart(i int) uint64 {
 // progress" (valid progress values are [0, τ)).
 func (e *Counter) pointerIdle() uint64 { return e.tau }
 
-// Step implements alg.Algorithm.
+// Step implements alg.Algorithm. Its working set — the sub-receive
+// vector, the clock and register tallies and the pack buffer — comes
+// from the Counter's scratch pool, so a warm Step allocates nothing
+// and concurrent Steps on one Counter never share a tally.
 func (e *Counter) Step(v int, recv []alg.State, rng *rand.Rand) alg.State {
+	sc := e.getScratch()
+	defer e.pool.Put(sc)
 	i := e.BlockOf(v)
 	lo, size := e.blockRange(i)
 	sub := e.sub[i]
 	space := sub.StateSpace()
-	subRecv := make([]alg.State, size)
-	for j := 0; j < size; j++ {
+	subRecv := sc.subBase[:size]
+	for j := range subRecv {
 		subRecv[j] = e.cdc.Field(recv[lo+j], fieldBlock) % space
 	}
 	newSub := sub.Step(v-lo, subRecv, rng)
 
-	// Observe both block clocks and resolve each sweep pointer: does
-	// it match this round (its block's clock arrived exactly at the
-	// pointed-to window offset), and what is its next value?
-	var match [2]bool
-	var instr [2]uint64
-	var nextP [2]uint64
+	var r [2]uint64
+	var ok [2]bool
+	for b := 0; b < 2; b++ {
+		r[b], ok[b] = e.readClockTally(b, e.tallyClock(b, recv, sc.clockTally[b]))
+	}
 	own := recv[v]
+	ins, sweep, nextP := e.sweep(own, r, ok)
+	regs := e.Registers(own)
+	if sweep {
+		sc.regTally.Reset()
+		for u := 0; u < e.n; u++ {
+			sc.regTally.Add(e.cons.DecodeReport(e.cdc.Field(recv[u], fieldA)))
+		}
+		kingA := e.cons.DecodeReport(e.cdc.Field(recv[phaseking.KingOf(ins)], fieldA))
+		regs = e.cons.StepCounts(regs, ins, sc.regTally, kingA)
+	} else {
+		regs.A = phaseking.Increment(regs.A, e.c)
+	}
+	return e.pack(sc, newSub, nextP, regs)
+}
+
+// sweep resolves both sweep pointers of the node whose own state is
+// own, given this round's clock reads r (valid where ok): does a
+// pointer match (its block's clock arrived exactly at the pointed-to
+// window offset), and what is each pointer's next value? matched
+// reports a match, block 0 taking priority, and ins is the matching
+// pointer's consensus instruction.
+func (e *Counter) sweep(own alg.State, r [2]uint64, ok [2]bool) (ins uint64, matched bool, nextP [2]uint64) {
 	for b := 0; b < 2; b++ {
 		p := e.cdc.Field(own, fieldP0+b)
-		r, ok := e.ReadClock(b, recv)
 		start := e.windowStart(b)
-		if p < e.tau && ok && r == (start+p)%e.period {
-			match[b] = true
-			instr[b] = p
+		match := p < e.tau && ok[b] && r[b] == (start+p)%e.period
+		if match && !matched {
+			ins, matched = p, true
 		}
 		switch {
-		case ok && r == (start+e.period-1)%e.period:
+		case ok[b] && r[b] == (start+e.period-1)%e.period:
 			// The clock sits one short of the window: arm.
 			nextP[b] = 0
-		case match[b] && p+1 < e.tau:
+		case match && p+1 < e.tau:
 			nextP[b] = p + 1
 		default:
 			nextP[b] = e.pointerIdle()
 		}
 	}
-
-	regs := e.Registers(own)
-	switch {
-	case match[0]:
-		regs = e.cons.Step(regs, instr[0], e.observedRegisters(recv))
-	case match[1]:
-		regs = e.cons.Step(regs, instr[1], e.observedRegisters(recv))
-	default:
-		regs.A = phaseking.Increment(regs.A, e.c)
-	}
-	aField, dField := regs.Encode(e.c)
-	return e.cdc.MustPack(newSub, nextP[0], nextP[1], aField, dField)
+	return ins, matched, nextP
 }
 
-// observedRegisters extracts the consensus-register reports from a
-// received vector, in the encoded form Consensus.Step consumes.
-func (e *Counter) observedRegisters(recv []alg.State) []uint64 {
-	observed := make([]uint64, e.n)
-	for u := 0; u < e.n; u++ {
-		observed[u] = e.cdc.Field(recv[u], fieldA)
+// pack encodes a node's next state through the scratch pack buffer:
+// passing a scratch slice through MustPack's ... reuses its backing
+// array instead of allocating the variadic slice.
+func (e *Counter) pack(sc *batchScratch, newSub alg.State, nextP [2]uint64, regs phaseking.Registers) alg.State {
+	aField, dField := regs.Encode(e.c)
+	sc.pack[0], sc.pack[1], sc.pack[2], sc.pack[3], sc.pack[4] = newSub, nextP[0], nextP[1], aField, dField
+	return e.cdc.MustPack(sc.pack[:]...)
+}
+
+// tallyClock resets t and tallies block i's clock votes — the counter
+// outputs its nodes report in recv — into it.
+func (e *Counter) tallyClock(i int, recv []alg.State, t *alg.DenseTally) *alg.DenseTally {
+	lo, size := e.blockRange(i)
+	sub := e.sub[i]
+	space := sub.StateSpace()
+	t.Reset()
+	for j := 0; j < size; j++ {
+		s := e.cdc.Field(recv[lo+j], fieldBlock) % space
+		t.Add(uint64(sub.Output(j, s)))
 	}
-	return observed
+	return t
 }
 
 // ReadClock reads block i's clock from a received vector: the counter
@@ -315,19 +343,9 @@ func (e *Counter) observedRegisters(recv []alg.State) []uint64 {
 // fail the quorum, but its ≤ f_i+… faulty members alone can never
 // assemble one.
 func (e *Counter) ReadClock(i int, recv []alg.State) (uint64, bool) {
-	lo, size := e.blockRange(i)
-	sub := e.sub[i]
-	space := sub.StateSpace()
-	tally := alg.NewTally(size)
-	for j := 0; j < size; j++ {
-		s := e.cdc.Field(recv[lo+j], fieldBlock) % space
-		tally.Add(uint64(sub.Output(j, s)))
-	}
-	val, ok := tally.Majority()
-	if !ok || tally.Count(val) < e.quora[i] {
-		return 0, false
-	}
-	return val % e.period, true
+	sc := e.getScratch()
+	defer e.pool.Put(sc)
+	return e.readClockTally(i, e.tallyClock(i, recv, sc.clockTally[i]))
 }
 
 // Output implements alg.Algorithm: the consensus register, with the

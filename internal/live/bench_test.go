@@ -97,30 +97,45 @@ func BenchmarkLive_EndToEndOpt_Ecount_n32(b *testing.B) {
 // The arena contract, pinned: a fault-free optimized round allocates
 // (approximately) nothing once the ring is warm. Two horizons differing
 // by 256 rounds cancel all per-run setup (goroutines, channels, node
-// scratch), leaving the pure per-round marginal cost. maxstep is the
-// allocation-free Step on purpose — ecount's Step allocates internally,
-// which would charge algorithm costs to the transport budget.
+// scratch), leaving the pure per-round marginal cost. maxstep prices
+// the round engine alone; ecount n=32 f=3 c=8, the soak stack, adds
+// its pooled scalar Step, which must not allocate either. The ecount
+// row skips under -race, whose runtime drops sync.Pool puts.
 func TestOptimizedFaultFreeAllocsPerRound(t *testing.T) {
-	a := buildAlg(t, "maxstep", 8, 0, 8)
-	measure := func(rounds uint64) float64 {
-		return testing.AllocsPerRun(5, func() {
-			rt, err := New(Config{Alg: a, Seed: 5, Rounds: rounds, Window: 12})
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		n, f, c int
+		pooled  bool
+	}{
+		{"maxstep", 8, 0, 8, false},
+		{"ecount", 32, 3, 8, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.pooled && raceEnabled {
+				t.Skip("the race runtime drops sync.Pool puts, so pooled Step scratch re-allocates")
 			}
-			rep, err := rt.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
+			a := buildAlg(t, tc.name, tc.n, tc.f, tc.c)
+			measure := func(rounds uint64) float64 {
+				return testing.AllocsPerRun(5, func() {
+					rt, err := New(Config{Alg: a, Seed: 5, Rounds: rounds, Window: 12})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep, err := rt.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rep.Rounds != rounds {
+						t.Fatalf("ran %d rounds, want %d", rep.Rounds, rounds)
+					}
+				})
 			}
-			if rep.Rounds != rounds {
-				t.Fatalf("ran %d rounds, want %d", rep.Rounds, rounds)
+			short := measure(64)
+			long := measure(320)
+			perRound := (long - short) / 256
+			if perRound > 2 {
+				t.Errorf("optimized fault-free path allocates %.2f objects/round (runs of 64 vs 320 rounds: %.0f vs %.0f allocs) — the arena budget is ~0, allowing 2 for runtime noise", perRound, short, long)
 			}
 		})
-	}
-	short := measure(64)
-	long := measure(320)
-	perRound := (long - short) / 256
-	if perRound > 2 {
-		t.Errorf("optimized fault-free path allocates %.2f objects/round (runs of 64 vs 320 rounds: %.0f vs %.0f allocs) — the arena budget is ~0, allowing 2 for runtime noise", perRound, short, long)
 	}
 }
