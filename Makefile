@@ -41,11 +41,13 @@ race:
 # share of sync.Pool puts on purpose, so these tests skip under -race
 # and `make race` alone never enforces them. The Random adversary's
 # full runs must not allocate per round, and its MessageRow not at all
-# after a round's first row. The ecount and boost scalar Steps must
-# not allocate once warm, and a fault-free live round — on maxstep and
-# on the ecount n=32 soak stack — at most 2 objects.
+# after a round's first row. A RunFull whose cycle meets a full
+# trajectory memo must allocate no more than one with no memo. The
+# ecount and boost scalar Steps must not allocate once warm, and a
+# fault-free live round — on maxstep and on the ecount n=32 soak
+# stack — at most 2 objects.
 alloc-gates:
-	$(GO) test -run '^TestRandom(AdversaryAllocsFlat|MessageRowAllocFree)$$' ./internal/sim
+	$(GO) test -run '^(TestRandom(AdversaryAllocsFlat|MessageRowAllocFree)|TestFullMemoRunAllocsNoMore)$$' ./internal/sim
 	$(GO) test -run '^TestStepAllocFree$$' ./internal/ecount ./internal/boost
 	$(GO) test -run '^TestOptimizedFaultFreeAllocsPerRound$$' ./internal/live
 

@@ -45,8 +45,7 @@ type ConfigCapturer interface {
 // AppendConfig appends the full configuration of a run — the state
 // vector plus any hidden words the algorithm exposes through
 // ConfigCapturer — to dst and returns the extended slice. This is the
-// configuration the fast-forward engine hashes, checkpoints and
-// compares.
+// configuration the fast-forward engine hashes, stacks and compares.
 func AppendConfig(a Algorithm, states []State, dst []State) []State {
 	dst = append(dst, states...)
 	if cc, ok := a.(ConfigCapturer); ok {

@@ -99,6 +99,20 @@ func (m *TrajectoryMemo) Add(k TrajectoryKey, v any) bool {
 	return true
 }
 
+// Admit reports whether the memo still has room for a new fact, so a
+// producer can skip building one that Add would refuse. A refusal is
+// counted in Stats as one rejected insert, exactly like the refused
+// Add it stands in for.
+func (m *TrajectoryMemo) Admit() bool {
+	m.mu.RLock()
+	full := len(m.m) >= m.capacity
+	m.mu.RUnlock()
+	if full {
+		m.rejected.Add(1)
+	}
+	return !full
+}
+
 // Len returns the number of stored entries.
 func (m *TrajectoryMemo) Len() int {
 	m.mu.RLock()

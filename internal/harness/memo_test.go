@@ -38,6 +38,26 @@ func TestTrajectoryMemoBasics(t *testing.T) {
 	}
 }
 
+// TestTrajectoryMemoAdmit pins the room check producers run before
+// building a fact: it admits while there is room, and each refusal
+// counts as one rejected insert.
+func TestTrajectoryMemoAdmit(t *testing.T) {
+	m := NewTrajectoryMemo(1)
+	if !m.Admit() {
+		t.Fatal("an empty memo must admit a fact")
+	}
+	if _, _, rejected := m.Stats(); rejected != 0 {
+		t.Fatalf("an admitted fact counted %d rejections", rejected)
+	}
+	m.Add(TrajectoryKey{Alg: "a", Hash: 1}, "v1")
+	if m.Admit() || m.Admit() {
+		t.Fatal("a full memo must refuse")
+	}
+	if _, _, rejected := m.Stats(); rejected != 2 {
+		t.Fatalf("two refusals counted %d rejected inserts, want 2", rejected)
+	}
+}
+
 func TestTrajectoryMemoDefaultCapacity(t *testing.T) {
 	if got := NewTrajectoryMemo(0).Cap(); got != DefaultTrajectoryMemoCapacity {
 		t.Fatalf("default capacity = %d, want %d", got, DefaultTrajectoryMemoCapacity)

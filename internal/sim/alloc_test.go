@@ -7,6 +7,7 @@ import (
 	"github.com/synchcount/synchcount/internal/adversary"
 	"github.com/synchcount/synchcount/internal/alg"
 	"github.com/synchcount/synchcount/internal/ecount"
+	"github.com/synchcount/synchcount/internal/harness"
 	"github.com/synchcount/synchcount/internal/sim"
 )
 
@@ -63,5 +64,46 @@ func TestRandomMessageRowAllocFree(t *testing.T) {
 		adversary.Random{}.MessageRow(v, senders, to, row)
 	}); got != 0 {
 		t.Errorf("Random.MessageRow allocates %.1f times per row after the round's first call, want 0", got)
+	}
+}
+
+// TestFullMemoRunAllocsNoMore gates the refused publication: a RunFull
+// whose confirmed cycle meets an already-full memo must allocate no
+// more than the same run with no memo at all — the engine asks the
+// memo for room before copying the cycle — while the memo still
+// counts the refusal as one rejected insert.
+func TestFullMemoRunAllocsNoMore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch, so run allocations stop being comparable")
+	}
+	a, err := ecount.New(16, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := harness.NewTrajectoryMemo(1)
+	full.Add(harness.TrajectoryKey{Alg: "filler"}, nil)
+	cfg := sim.Config{
+		Alg: a, Faulty: spreadFaults(16, 3), Adv: adversary.SplitVote{},
+		Seed: 5, MaxRounds: 1 << 14,
+	}
+	run := func(cfg sim.Config) {
+		if _, err := sim.RunFull(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	withMemo := cfg
+	withMemo.Memo, withMemo.MemoAlg = full, "ecount/n=16/f=3/c=8"
+	_, _, rejectedBefore := full.Stats()
+	run(withMemo)
+	if _, _, rejected := full.Stats(); rejected != rejectedBefore+1 {
+		t.Errorf("a refused publication counted %d rejected inserts, want 1", rejected-rejectedBefore)
+	}
+	bare := testing.AllocsPerRun(5, func() { run(cfg) })
+	memo := testing.AllocsPerRun(5, func() { run(withMemo) })
+	if memo > bare {
+		t.Errorf("RunFull against a full memo allocates %.1f times, the memo-less run %.1f", memo, bare)
+	}
+	if full.Len() != 1 {
+		t.Errorf("full memo grew to %d entries", full.Len())
 	}
 }

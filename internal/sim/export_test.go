@@ -18,8 +18,8 @@ func FastForwardEligible(cfg Config) (period uint64, ok bool) {
 // returns a restore func. The collision property tests install
 // degenerate hashes (constant, single-bit) to prove that correctness
 // rests entirely on the full configuration verification: every round
-// then hash-matches the checkpoint and only the verified comparisons
-// may conclude a cycle.
+// then hash-matches the detector's stacked entries and only the
+// verified comparisons may conclude a cycle.
 func SetConfigHashForTest(h func([]State) uint64) (restore func()) {
 	old := ffHash
 	ffHash = h
@@ -28,3 +28,7 @@ func SetConfigHashForTest(h func([]State) uint64) (restore func()) {
 
 // State re-exports alg.State for the hash-override hook signature.
 type State = uint64
+
+// FFMemoConfigLimit exposes the fast-forward configuration-history
+// window, so the memo tests can place a confirmation beyond it.
+const FFMemoConfigLimit = ffMemoConfigLimit

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strconv"
 
 	"github.com/synchcount/synchcount/internal/adversary"
@@ -21,13 +22,17 @@ import (
 // The engine removes that cost without changing a single bit of the
 // Result:
 //
-//  1. Cycle detection (Brent): one configuration checkpoint is kept and
-//     compared against the current configuration by hash every round;
-//     the checkpoint advances on power-of-two schedules so a cycle of
-//     length L starting after a tail of length mu is confirmed within
-//     O(mu + L) rounds. A hash match is only a *candidate* — it is
-//     verified by full configuration comparison (and round-phase
-//     congruence), so hash collisions cost one compare, never
+//  1. Cycle detection (Nivasch's partitioned stack algorithm): every
+//     round's configuration is pushed, keyed by (hash, round phase),
+//     onto one of ffStacks stacks chosen by its hash, after popping the
+//     entries whose key exceeds it, so each stack stays sorted. The
+//     smallest key on the cycle in a stack is never popped once the
+//     cycle has entered it, so a cycle of length λ after a tail of
+//     length μ is confirmed at that key's second visit: never later
+//     than round μ + 2λ, and at about μ + λ(1 + 1/ffStacks) on
+//     average, close to the first repeat at μ + λ. An equal key is
+//     only a *candidate*: it is verified by full configuration
+//     comparison, so hash collisions cost one compare, never
 //     correctness.
 //  2. Analytic conclusion: once rounds r0 and r (= r0 + L) provably
 //     share a configuration, the per-round observations (agreement,
@@ -58,18 +63,24 @@ import (
 var ffHash = alg.HashConfig
 
 const (
-	// ffRingLimit bounds the recorded observation window (and hence
-	// the checkpoint spacing Brent's schedule reaches). A trajectory
-	// whose cycle has not been confirmed within this many rounds of
-	// history disarms the engine for the rest of the run — the run
-	// completes on the plain kernel, trivially bit-identical.
+	// ffRingLimit bounds the recorded observation history, which
+	// starts when the run arms. A trajectory whose cycle has not been
+	// confirmed within this many rounds disarms the engine for the
+	// rest of the run — the run completes on the plain kernel,
+	// trivially bit-identical.
 	ffRingLimit = 1 << 20
 
-	// ffMemoConfigLimit bounds the per-round configuration history
-	// kept for memo publication. Cycles longer than this are still
-	// fast-forwarded, but published under their checkpoint
-	// configuration only instead of under every phase.
+	// ffMemoConfigLimit bounds the sliding per-round configuration
+	// history kept for memo publication: the last ffMemoConfigLimit
+	// rounds. Cycles up to this length are published under every
+	// phase however late they are confirmed; longer ones are still
+	// fast-forwarded, but published under the repeated configuration
+	// only.
 	ffMemoConfigLimit = 1 << 10
+
+	// ffStacks is the detector's partition count K: a cycle is
+	// confirmed about λ/K rounds after its first repeat.
+	ffStacks = 16
 )
 
 // ffObs is one round's observation: whether all correct nodes agreed,
@@ -79,6 +90,20 @@ const (
 type ffObs struct {
 	agree  bool
 	common int
+}
+
+// ffEntry is one detector stack entry: the key (configuration hash,
+// round phase), the round it was seen and a copy of the configuration
+// that verifies a key match.
+type ffEntry struct {
+	hash, phase uint64
+	round       uint64
+	config      []alg.State
+}
+
+// above reports whether e's key orders after (hash, phase).
+func (e *ffEntry) above(hash, phase uint64) bool {
+	return e.hash > hash || (e.hash == hash && e.phase > phase)
 }
 
 // trajectoryEntry is the memoised fact published for a configuration
@@ -100,22 +125,25 @@ type ffEngine struct {
 	key    harness.TrajectoryKey // Alg/Faulty/Adversary prefilled
 	dead   bool
 
-	// Brent checkpoint.
-	haveCP  bool
-	cpRound uint64
-	cpHash  uint64
-	power   uint64
-	cp      []alg.State
+	// keyMask is the fault mask key.Faulty was last built from; runs
+	// with the same mask reuse the string instead of rebuilding it.
+	keyMask   []bool
+	keyFaulty string
+
+	// stacks are the detector's partitioned stacks, each sorted by
+	// key from bottom to top. Popping only shortens a stack, so the
+	// configuration buffers of popped entries are reused by the next
+	// pushes into the same slots.
+	stacks [ffStacks][]ffEntry
 
 	// cur is the configuration of the round currently being probed.
 	cur []alg.State
-	// ring records the observations of rounds [cpRound, now).
+	// ring[r] is the observation of round r since the run armed.
 	ring []ffObs
-	// cfgFlat records the configurations of rounds [cpRound, now) in
-	// row-major form for memo publication; abandoned (cfgOverflow)
-	// past ffMemoConfigLimit rounds.
-	cfgFlat     []alg.State
-	cfgOverflow bool
+	// hist holds the configurations of the last ffMemoConfigLimit
+	// rounds for memo publication, round r in row r % ffMemoConfigLimit
+	// (kept only when a memo is attached).
+	hist []alg.State
 }
 
 // fastForwardEligible reports whether a run may fast-forward and under
@@ -145,17 +173,21 @@ func (ff *ffEngine) arm(cfg *Config, adv adversary.Adversary, faulty []bool) *ff
 	ff.faulty = faulty
 	ff.period = p
 	ff.dead = false
-	ff.haveCP = false
-	ff.power = 1
+	for i := range ff.stacks {
+		ff.stacks[i] = ff.stacks[i][:0]
+	}
 	ff.ring = ff.ring[:0]
-	ff.cfgFlat = ff.cfgFlat[:0]
-	ff.cfgOverflow = false
+	ff.hist = ff.hist[:0]
 	ff.memo = nil
 	if cfg.Memo != nil && cfg.MemoAlg != "" {
 		ff.memo = cfg.Memo
+		if !slices.Equal(ff.keyMask, faulty) {
+			ff.keyMask = append(ff.keyMask[:0], faulty...)
+			ff.keyFaulty = faultyKey(faulty)
+		}
 		ff.key = harness.TrajectoryKey{
 			Alg:       cfg.MemoAlg,
-			Faulty:    faultyKey(faulty),
+			Faulty:    ff.keyFaulty,
 			Adversary: adv.Name(),
 		}
 	}
@@ -188,11 +220,12 @@ func faultyKey(faulty []bool) string {
 }
 
 // probe runs the per-round fast-forward bookkeeping for the
-// start-of-round configuration: a memo lookup, the Brent candidate
-// check (hash first, full comparison on a match) and the checkpoint
-// power schedule. On a confirmed cycle it returns the observation ring
-// of one full cycle starting at the current round; the caller then
-// concludes the run analytically via finishFastForward.
+// start-of-round configuration: a memo lookup, then the detector step
+// on the configuration's stack — pop the entries keyed above it,
+// verify each equal-keyed entry by full comparison, push it. On a
+// confirmed cycle it returns the observation ring of one full cycle
+// starting at the current round; the caller then concludes the run
+// analytically via finishFastForward.
 func (ff *ffEngine) probe(round uint64, states []alg.State) ([]ffObs, bool) {
 	if ff.dead {
 		return nil, false
@@ -211,10 +244,11 @@ func (ff *ffEngine) probe(round uint64, states []alg.State) ([]ffObs, bool) {
 		}
 	}
 	h := ffHash(ff.cur)
+	phase := round % ff.period
 
 	if ff.memo != nil {
 		k := ff.key
-		k.Phase = round % ff.period
+		k.Phase = phase
 		k.Hash = h
 		if v, ok := ff.memo.Get(k); ok {
 			if e, ok := v.(*trajectoryEntry); ok && configsEqual(e.config, ff.cur) {
@@ -223,88 +257,89 @@ func (ff *ffEngine) probe(round uint64, states []alg.State) ([]ffObs, bool) {
 		}
 	}
 
-	if !ff.haveCP {
-		ff.setCheckpoint(round, h)
+	if round >= ffRingLimit {
+		// Give up: from here the run costs exactly what it did
+		// before fast-forwarding existed (minus two dead branch
+		// checks per round).
+		ff.dead = true
 		return nil, false
 	}
-	if h == ff.cpHash && (round-ff.cpRound)%ff.period == 0 && configsEqual(ff.cp, ff.cur) {
-		// Confirmed: configuration (and adversary phase) repeat, so
-		// the execution from round replays the window [cpRound, round)
-		// forever. len(ring) == round-cpRound by construction: one
-		// observation was recorded per simulated round since the
-		// checkpoint.
-		ring := ff.ring
-		ff.publish(ring)
-		return ring, true
+	st := ff.stacks[h%ffStacks]
+	top := len(st)
+	for top > 0 && st[top-1].above(h, phase) {
+		top--
 	}
-	if round-ff.cpRound == ff.power {
-		if ff.power >= ffRingLimit {
-			// Give up: from here the run costs exactly what it did
-			// before fast-forwarding existed (minus two dead branch
-			// checks per round).
-			ff.dead = true
-			return nil, false
+	for i := top - 1; i >= 0 && st[i].hash == h && st[i].phase == phase; i-- {
+		if configsEqual(st[i].config, ff.cur) {
+			// Confirmed: configuration and adversary phase repeat, so
+			// the execution from round replays the window
+			// [st[i].round, round) forever. len(ring) == round by
+			// construction: one observation was recorded per
+			// simulated round since arming.
+			ring := ff.ring[st[i].round:]
+			ff.publish(round, ring)
+			return ring, true
 		}
-		ff.power *= 2
-		ff.setCheckpoint(round, h)
 	}
+	if top < cap(st) {
+		st = st[:top+1]
+	} else {
+		st = append(st[:top], ffEntry{})
+	}
+	e := &st[top]
+	e.hash, e.phase, e.round = h, phase, round
+	e.config = append(e.config[:0], ff.cur...)
+	ff.stacks[h%ffStacks] = st
 	return nil, false
 }
 
-// setCheckpoint pins the current configuration as the Brent tortoise
-// and restarts the observation and configuration history at it.
-func (ff *ffEngine) setCheckpoint(round uint64, h uint64) {
-	ff.haveCP = true
-	ff.cpRound = round
-	ff.cpHash = h
-	ff.cp = append(ff.cp[:0], ff.cur...)
-	ff.ring = ff.ring[:0]
-	ff.cfgFlat = ff.cfgFlat[:0]
-	ff.cfgOverflow = false
-}
-
 // record appends the observation of the probed round — probe then
-// record run once each per simulated round, so ring[j] is the
-// observation of round cpRound+j and cfgFlat row j its configuration.
+// record run once each per simulated round, so ring[r] is the
+// observation of round r and hist row r % ffMemoConfigLimit its
+// configuration.
 func (ff *ffEngine) record(agree bool, common int) {
-	if ff.dead || !ff.haveCP {
+	if ff.dead {
 		return
 	}
+	round := len(ff.ring)
 	ff.ring = append(ff.ring, ffObs{agree: agree, common: common})
-	if ff.memo != nil && !ff.cfgOverflow {
-		if len(ff.ring) > ffMemoConfigLimit {
-			ff.cfgOverflow = true
-			ff.cfgFlat = ff.cfgFlat[:0]
-		} else {
-			ff.cfgFlat = append(ff.cfgFlat, ff.cur...)
-		}
-	}
-}
-
-// publish stores the confirmed cycle in the campaign memo: one entry
-// per configuration on the cycle when the configuration history is
-// complete (each phase shares one doubled observation ring, so the
-// publication is O(L · words) memory, not O(L²)), or the checkpoint
-// configuration alone when the cycle outgrew the history cap.
-func (ff *ffEngine) publish(ring []ffObs) {
 	if ff.memo == nil {
 		return
 	}
-	L := len(ring)
-	if L == 0 {
+	if round < ffMemoConfigLimit {
+		ff.hist = append(ff.hist, ff.cur...)
+	} else {
+		words := len(ff.cur)
+		row := round % ffMemoConfigLimit
+		copy(ff.hist[row*words:(row+1)*words], ff.cur)
+	}
+}
+
+// publish stores the cycle confirmed at round in the campaign memo:
+// one entry per configuration on the cycle when it fits the sliding
+// configuration history (each phase shares one doubled observation
+// ring, so the publication is O(L · words) memory, not O(L²)), or the
+// repeated configuration alone when the cycle is longer. A full memo
+// refuses the publication before anything is copied.
+func (ff *ffEngine) publish(round uint64, ring []ffObs) {
+	if ff.memo == nil || len(ring) == 0 || !ff.memo.Admit() {
 		return
 	}
+	L := len(ring)
 	ringD := make([]ffObs, 2*L)
 	copy(ringD, ring)
 	copy(ringD[L:], ring)
 	words := len(ff.cur)
-	if !ff.cfgOverflow && words > 0 && len(ff.cfgFlat) == L*words {
-		flat := make([]alg.State, len(ff.cfgFlat))
-		copy(flat, ff.cfgFlat)
+	start := round - uint64(L)
+	if L <= ffMemoConfigLimit {
+		flat := make([]alg.State, L*words)
 		for j := 0; j < L; j++ {
+			r := start + uint64(j)
+			row := int(r % ffMemoConfigLimit)
 			cfg := flat[j*words : (j+1)*words : (j+1)*words]
+			copy(cfg, ff.hist[row*words:(row+1)*words])
 			k := ff.key
-			k.Phase = (ff.cpRound + uint64(j)) % ff.period
+			k.Phase = r % ff.period
 			k.Hash = ffHash(cfg)
 			if !ff.memo.Add(k, &trajectoryEntry{config: cfg, ring: ringD[j : j+L : j+L]}) {
 				return // memo full: keep what fit
@@ -312,12 +347,12 @@ func (ff *ffEngine) publish(ring []ffObs) {
 		}
 		return
 	}
-	cp := make([]alg.State, len(ff.cp))
-	copy(cp, ff.cp)
+	cfg := make([]alg.State, words)
+	copy(cfg, ff.cur)
 	k := ff.key
-	k.Phase = ff.cpRound % ff.period
-	k.Hash = ff.cpHash
-	ff.memo.Add(k, &trajectoryEntry{config: cp, ring: ringD[:L:L]})
+	k.Phase = start % ff.period
+	k.Hash = ffHash(cfg)
+	ff.memo.Add(k, &trajectoryEntry{config: cfg, ring: ringD[:L:L]})
 }
 
 func configsEqual(a, b []alg.State) bool {

@@ -20,11 +20,12 @@ import (
 //
 // The cells are 1508.02535 stacks on purpose: their block clocks run
 // mod 4τ, so the global configuration cycle is short (λ = 360 at
-// n=16 f=3, λ = 1080 at n=64 f=7) and Brent confirms it within a few
-// thousand rounds. The source paper's boost stacks cycle with the full
+// n=16 f=3, λ = 1080 at n=64 f=7) and the partitioned-stack detector
+// confirms it a few percent past its first repeat, well inside μ + 2λ
+// rounds. The source paper's boost stacks cycle with the full
 // leader-wheel period τ(2m)^k (≈ 34560 for the Figure 2 stack), so
-// fast-forward only engages on horizons well past 2λ there — see the
-// README's Fast-forward section.
+// fast-forward only engages on horizons past about μ + λ there — see
+// the README's Fast-forward section.
 func benchFF(b *testing.B, a alg.Algorithm, adv adversary.Adversary, faults []int, rounds uint64, fastforward bool) {
 	b.Helper()
 	cfg := sim.Config{
@@ -66,8 +67,8 @@ func benchFFECountChain(b *testing.B, n, f int) alg.Algorithm {
 }
 
 // The headline long-horizon cell: a 2^14-round RunFull verification
-// tail whose cycle (λ = 360) the engine confirms after ~1k rounds and
-// concludes analytically.
+// tail whose cycle (λ = 360, first repeat at round 426) the engine
+// confirms at round 448 and concludes analytically.
 func BenchmarkFF_Off_ECount_n16_f3_RunFull16k(b *testing.B) {
 	benchFF(b, benchFFECount(b, 16, 3), adversary.SplitVote{}, benchSpread(16, 3), 1<<14, false)
 }
@@ -86,8 +87,8 @@ func BenchmarkFF_On_ECountChain_n16_f3_RunFull16k(b *testing.B) {
 	benchFF(b, benchFFECountChain(b, 16, 3), adversary.SplitVote{}, benchSpread(16, 3), 1<<14, true)
 }
 
-// The large-network cell (λ = 1080, confirmed ≈ round 3.1k): 2^15
-// rounds so the analytic tail dominates.
+// The large-network cell (λ = 1080, first repeat at round 1,218,
+// confirmed at 1,239): 2^15 rounds so the analytic tail dominates.
 func BenchmarkFF_Off_ECount_n64_f7_RunFull32k(b *testing.B) {
 	benchFF(b, benchFFECount(b, 64, 7), adversary.SplitVote{}, benchSpread(64, 7), 1<<15, false)
 }

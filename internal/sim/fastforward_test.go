@@ -1,7 +1,10 @@
 package sim_test
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/synchcount/synchcount/internal/adversary"
@@ -307,4 +310,146 @@ func TestFastForwardEligibility(t *testing.T) {
 			t.Errorf("%s: period = %d, want 1", tc.label, period)
 		}
 	}
+}
+
+// lateCycleAlg walks every node through a tail of lateCycleTail
+// states and then counts mod 8 forever, so its one trajectory from the
+// all-zero configuration has μ = lateCycleTail and λ = 8.
+type lateCycleAlg struct{}
+
+const lateCycleTail = 2 * sim.FFMemoConfigLimit
+
+func (lateCycleAlg) N() int              { return 4 }
+func (lateCycleAlg) F() int              { return 0 }
+func (lateCycleAlg) C() int              { return 8 }
+func (lateCycleAlg) StateSpace() uint64  { return lateCycleTail + 8 }
+func (lateCycleAlg) Deterministic() bool { return true }
+func (lateCycleAlg) Step(node int, recv []alg.State, _ *rand.Rand) alg.State {
+	if s := recv[node]; s < lateCycleTail+7 {
+		return s + 1
+	}
+	return lateCycleTail
+}
+func (lateCycleAlg) Output(_ int, s alg.State) int { return int(s % 8) }
+
+// TestFastForwardMemoPublishesLateCycle pins the sliding configuration
+// history: a short cycle confirmed more than FFMemoConfigLimit rounds
+// after the run armed is still published under every one of its
+// phases — the configurations actually on the cycle, so a trial that
+// starts on any of them concludes from the memo without publishing
+// anything new.
+func TestFastForwardMemoPublishesLateCycle(t *testing.T) {
+	memo := harness.NewTrajectoryMemo(0)
+	base := sim.Config{
+		Alg:       lateCycleAlg{},
+		Adv:       adversary.Silent{},
+		MaxRounds: 4 * lateCycleTail,
+		Init:      make([]alg.State, 4),
+		Memo:      memo,
+		MemoAlg:   "late-cycle",
+	}
+	runBothPaths(t, "late-cycle/tail", base)
+	if got := memo.Len(); got != 8 {
+		t.Fatalf("memo holds %d entries after a λ = 8 cycle confirmed past round %d, want 8", got, lateCycleTail)
+	}
+	for phase := alg.State(0); phase < 8; phase++ {
+		cfg := base
+		s := lateCycleTail + phase
+		cfg.Init = []alg.State{s, s, s, s}
+		before, _, _ := memo.Stats()
+		runBothPaths(t, fmt.Sprintf("late-cycle/phase=%d", phase), cfg)
+		if hits, _, _ := memo.Stats(); hits == before {
+			t.Errorf("a run starting on cycle phase %d never hit the memo", phase)
+		}
+	}
+	if got := memo.Len(); got != 8 {
+		t.Errorf("memo holds %d entries after runs starting on the cycle, want the 8 published first", got)
+	}
+}
+
+// TestFastForwardConfirmsWithinTwoCycles pins the detector's latency:
+// with no memo, a run whose trajectory first repeats at round μ + λ
+// (tail μ, cycle λ, found by brute force through an observer) steps
+// at most μ + 2λ rounds before concluding the cycle analytically.
+// Stepped rounds are counted by Abort polls, one per round entered.
+func TestFastForwardConfirmsWithinTwoCycles(t *testing.T) {
+	plain, err := ecount.New(16, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := ecount.NewChain(10, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		label string
+		a     alg.Algorithm
+	}{{"ecount/n=16/f=3", plain}, {"ecount-chain/n=10/f=3", chain}} {
+		faults := spreadFaults(tc.a.N(), tc.a.F())
+		for _, advName := range []string{"silent", "splitvote"} {
+			adv, err := adversary.ByName(advName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				label := fmt.Sprintf("%s/%s/seed=%d", tc.label, advName, seed)
+				cfg := sim.Config{
+					Alg: tc.a, Faulty: faults, Adv: adv, Seed: seed,
+					MaxRounds: 1 << 14,
+				}
+				mu, lambda := firstRepeat(t, label, cfg)
+				polls := uint64(0)
+				cfg.Abort = func() bool { polls++; return false }
+				if _, err := sim.RunFull(cfg); err != nil {
+					t.Fatal(err)
+				}
+				stepped := polls - 1
+				if stepped > mu+2*lambda {
+					t.Errorf("%s: stepped %d rounds, want ≤ μ + 2λ = %d + 2·%d", label, stepped, mu, lambda)
+				}
+				t.Logf("%s: μ=%d λ=%d stepped=%d stepped/(μ+λ)=%.3f", label, mu, lambda, stepped, float64(stepped)/float64(mu+lambda))
+			}
+		}
+	}
+}
+
+// firstRepeat returns the tail μ and cycle length λ of cfg's
+// trajectory: the first round μ + λ whose masked configuration and
+// adversary phase equal those of an earlier round μ.
+func firstRepeat(t *testing.T, label string, cfg sim.Config) (mu, lambda uint64) {
+	t.Helper()
+	period, ok := sim.FastForwardEligible(cfg)
+	if !ok {
+		t.Fatalf("%s: not fast-forward eligible", label)
+	}
+	first := make(map[string]uint64)
+	found := false
+	var buf []alg.State
+	var key []byte
+	cfg.OnRound = func(round uint64, states []alg.State, _ []int) {
+		if found {
+			return
+		}
+		buf = alg.AppendConfig(cfg.Alg, states, buf[:0])
+		for _, i := range cfg.Faulty {
+			buf[i] = 0
+		}
+		key = binary.LittleEndian.AppendUint64(key[:0], round%period)
+		for _, w := range buf {
+			key = binary.LittleEndian.AppendUint64(key, w)
+		}
+		if r0, ok := first[string(key)]; ok {
+			mu, lambda, found = r0, round-r0, true
+			return
+		}
+		first[string(key)] = round
+	}
+	cfg.Abort = func() bool { return found }
+	if _, err := sim.RunFull(cfg); err != nil && !errors.Is(err, sim.ErrAborted) {
+		t.Fatal(err)
+	}
+	if !found {
+		t.Fatalf("%s: no repeated configuration within %d rounds", label, cfg.MaxRounds)
+	}
+	return mu, lambda
 }
